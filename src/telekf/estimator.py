@@ -1,15 +1,17 @@
 """Kalman filtering over impaired measurement streams, with empirical
 bootstrap of the process and measurement noise covariances from residuals.
 
-The measurement update follows the sequential per-row form: each output
-channel is applied as a scalar update against the corresponding diagonal
-entry of R.  For diagonal R this is algebraically identical to the joint
-vector update; a batch mode is available for full R matrices.  Covariance
-updates use the Joseph form internally for numerical robustness.
+The measurement update applies each output channel as a scalar update
+against the matching diagonal entry of R (off-diagonal R is ignored); for
+diagonal R this equals the joint vector update.  run_filter computes the
+data-independent gains first, freezes them once the covariance settles,
+and then runs a lean affine pass over the states.  kf_predict/kf_update
+are the single-step form; kf_update can also do the joint update.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -102,12 +104,18 @@ class FilterState:
 @dataclass(frozen=True)
 class EstimationRun:
     """Filter trajectory: per-step output estimates C x_hat, innovations
-    z - C x_prior, and the posterior state sequence."""
+    z - C x_prior, and the posterior state sequence.
+
+    gain_converged_step is the sample index (0-based, as the run CSV's k
+    column) from which the gain was held constant, or None when the
+    covariance never settled within the stream.
+    """
 
     estimates: np.ndarray
     innovations: np.ndarray
     states: np.ndarray
     scenario: NetworkScenario | None = None
+    gain_converged_step: int | None = None
 
 
 def kf_predict(state: FilterState, u: np.ndarray, model: StateSpaceModel,
@@ -122,16 +130,27 @@ def kf_predict(state: FilterState, u: np.ndarray, model: StateSpaceModel,
     return FilterState(x=x, P=P, k=state.k + 1)
 
 
-def _scalar_update(x: np.ndarray, P: np.ndarray, c: np.ndarray,
-                   z: float, r: float) -> tuple[np.ndarray, np.ndarray]:
-    s = float(c @ P @ c) + r
-    if s <= 0:
-        raise NumericalError(f"degenerate innovation variance {s}")
-    K = (P @ c) / s
-    x = x + K * (z - float(c @ x))
-    IKc = np.eye(x.size) - np.outer(K, c)
-    P = IKc @ P @ IKc.T + r * np.outer(K, K)  # Joseph form
-    return x, _symmetrize(P)
+def _row_updates(P: np.ndarray, C: np.ndarray,
+                 r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each row of C as a scalar update against r[d].
+
+    Returns the posterior covariance and the gain G of the composed
+    update x_post = x + G (z - C x).
+    """
+    P = P.copy()
+    G = np.zeros((P.shape[0], C.shape[0]))
+    for d, c in enumerate(C):
+        Pc = P @ c
+        s = c @ Pc + r[d]
+        if s <= 0:
+            raise NumericalError(f"degenerate innovation variance {s}")
+        K = Pc / s
+        G -= np.outer(K, c @ G)
+        G[:, d] += K
+        # Joseph form collapsed for a scalar gain K = Pc/s:
+        # (I-Kc) P (I-Kc)^T + r K K^T == P - Pc Pc^T / s.
+        P -= Pc[:, None] * K
+    return P, G
 
 
 def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
@@ -139,8 +158,9 @@ def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
     """Measurement update.
 
     sequential=True applies each row of C as a scalar update against the
-    matching diagonal entry of R (off-diagonal R is ignored on this path);
-    sequential=False does the joint vector update with the full R.
+    matching diagonal entry of R (off-diagonal R is ignored on this path),
+    as run_filter does; sequential=False does the joint vector update with
+    the full R.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != model.m_out:
@@ -150,30 +170,79 @@ def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
     C, R = model.C, noise.R
     x, P = prior.x, prior.P
     if sequential:
-        for d in range(model.m_out):
-            x, P = _scalar_update(x, P, C[d], float(z[d]), float(R[d, d]))
+        P, K = _row_updates(P, C, np.diag(R))
     else:
         S = C @ P @ C.T + R
         try:
             K = np.linalg.solve(S.T, (P @ C.T).T).T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"degenerate innovation covariance: {exc}") from exc
-        x = x + K @ (z - C @ x)
         IKC = np.eye(x.size) - K @ C
         P = _symmetrize(IKC @ P @ IKC.T + K @ R @ K.T)
+    x = x + K @ (z - C @ x)
     return FilterState(x=x, P=_psd_clip(P, floor=0.0), k=prior.k)
+
+
+# The gain is frozen once the posterior covariance moves by no more than a
+# few ulps of its largest entry.
+_FREEZE_RTOL = 4 * np.finfo(float).eps
+
+
+def _gain_schedule(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
+                   r: np.ndarray, P0: np.ndarray,
+                   n_samples: int) -> tuple[np.ndarray, int | None]:
+    """Gains G_k of x_k = x_k^- + G_k (z_k - C x_k^-) for k = 1, 2, ...
+
+    Runs the covariance recursion (predict, then _row_updates) and stops
+    at the first k whose posterior covariance differs from the previous
+    one by at most _FREEZE_RTOL * max|P_k|; G_k then holds for every later
+    sample.  Returns the gains up to that k, stacked and read-only, and k
+    (None when P does not settle within n_samples).
+    """
+    P_prev = P0
+    gains = []
+    frozen_at = None
+    for k in range(1, n_samples):
+        P = A @ P_prev @ A.T + Q
+        P += P.T
+        P *= 0.5
+        try:
+            P, G = _row_updates(P, C, r)
+        except NumericalError as exc:
+            raise NumericalError(f"sample {k + 1}: {exc}") from exc
+        gains.append(G)
+        if np.abs(P - P_prev).max() <= _FREEZE_RTOL * np.abs(P).max():
+            frozen_at = k
+            break
+        P_prev = P
+    stacked = np.array(gains).reshape(-1, A.shape[0], C.shape[0])
+    stacked.flags.writeable = False
+    return stacked, frozen_at
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_schedule(key, n_samples):
+    """_gain_schedule memoized on the exact bytes of its inputs: every
+    bootstrap pass of one sweep starts from the same noise guess and P0."""
+    A, C, Q, r, P0 = (np.frombuffer(b).reshape(shape) for shape, b in key)
+    return _gain_schedule(A, C, Q, r, P0, n_samples)
 
 
 def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
                measurements: ImpairedStream | np.ndarray,
                x0: np.ndarray | None = None, P0: np.ndarray | None = None,
-               sequential: bool = True,
                scenario: NetworkScenario | None = None) -> EstimationRun:
     """Run predict/update over the full stream.
 
     Sample 1 keeps the initial state (x0 = 0, P0 = I by default); from
     sample 2 on, the filter predicts with the previous input and updates
-    against the observed (possibly impaired) measurement.
+    against the observed (possibly impaired) measurement, one scalar
+    update per row of C against diag(R): off-diagonal R is ignored.  The
+    gains depend only on (A, C, Q, diag R, P0), so they are computed first
+    and frozen once the covariance stops changing (gain_converged_step);
+    the state pass is then x_k = M_k A x_{k-1} + M_k B u_{k-1} + G_k z_k
+    with M_k = I - G_k C.  A non-positive innovation variance raises
+    NumericalError naming the sample.
     """
     if isinstance(measurements, ImpairedStream):
         z_seq = measurements.observed
@@ -187,52 +256,38 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
         raise DataError(
             f"inputs ({n_samples}) and measurements ({z_seq.shape[0]}) "
             f"have different lengths")
-    n, m_out = model.order, model.m_out
-
+    n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    P = np.eye(n) if P0 is None else _symmetrize(np.atleast_2d(np.asarray(P0, dtype=float)))
+    P0 = np.eye(n) if P0 is None else _symmetrize(np.atleast_2d(np.asarray(P0, dtype=float)))
     A, B, C = model.A, model.B, model.C
-    Q, R = noise.Q, noise.R
-    Rdiag = np.diag(R).copy()
 
-    innovations = np.empty((n_samples, m_out))
+    key = tuple((a.shape, a.tobytes())
+                for a in (A, C, noise.Q, np.diag(noise.R), P0))
+    G, frozen_at = _cached_schedule(key, n_samples)
+    n_sched = G.shape[0]
+    M = np.eye(n) - G @ C
+    F = list(M @ A)
+    Bu = inputs[:-1] @ B.T
+    # Rows 1.. first hold h_k = M_k B u_{k-1} + G_k z_k; the pass then adds
+    # F_k x_{k-1}, in order, to turn each into x_k.
     states = np.empty((n_samples, n))
-    innovations[0] = z_seq[0] - C @ x
     states[0] = x
+    h = states[1:]
+    h[:n_sched] = (np.einsum("kij,kj->ki", M, Bu[:n_sched])
+                   + np.einsum("kij,kj->ki", G, z_seq[1:n_sched + 1]))
+    if frozen_at is not None:  # the last gain holds for the rest
+        h[n_sched:] = Bu[n_sched:] @ M[-1].T + z_seq[n_sched + 1:] @ G[-1].T
+        F += [F[-1]] * (n_samples - 1 - n_sched)
+    rows = list(states)
+    for F_k, prev, row in zip(F, rows, rows[1:]):
+        row += np.dot(F_k, prev)
 
-    AT = A.T
-    Bu = inputs @ B.T  # precompute B u(k) for every step
-    rows = list(C)
-    for k in range(1, n_samples):
-        # Predict with the previous input.
-        x = A @ x + Bu[k - 1]
-        P = A @ P @ AT + Q
-        P += P.T
-        P *= 0.5
-        z = z_seq[k]
-        innovations[k] = z - C @ x
-        try:
-            if sequential:
-                for d in range(m_out):
-                    c = rows[d]
-                    Pc = P @ c
-                    s = c @ Pc + Rdiag[d]
-                    if s <= 0:
-                        raise NumericalError(f"degenerate innovation variance {s}")
-                    x = x + Pc * ((z[d] - c @ x) / s)
-                    # Joseph form collapsed for a scalar gain K = Pc/s:
-                    # (I-Kc) P (I-Kc)^T + r K K^T == P - Pc Pc^T / s,
-                    # which is symmetric by construction.
-                    P -= Pc[:, None] * (Pc / s)
-            else:
-                st = kf_update(FilterState(x=x, P=P, k=k), z, model, noise,
-                               sequential=False)
-                x, P = st.x, st.P
-        except NumericalError as exc:
-            raise NumericalError(f"sample {k + 1}: {exc}") from exc
-        states[k] = x
+    innovations = np.empty((n_samples, model.m_out))
+    innovations[0] = z_seq[0] - C @ states[0]
+    innovations[1:] = z_seq[1:] - (states[:-1] @ A.T + Bu) @ C.T
     return EstimationRun(estimates=states @ C.T, innovations=innovations,
-                         states=states, scenario=scenario)
+                         states=states, scenario=scenario,
+                         gain_converged_step=frozen_at)
 
 
 def estimate_noise_empirical(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, estimator, metrics, netsim, sysid
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TelekfError
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -205,8 +205,9 @@ def run_scenario(model: sysid.StateSpaceModel,
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
     """Run the scenario sweep and write a Table-style summary CSV plus
-    per-scenario run exports.  Per-scenario failures are recorded in the
-    summary without aborting the sweep."""
+    per-scenario run exports.  Per-scenario toolkit errors (TelekfError)
+    are recorded in the summary without aborting the sweep; any other
+    exception is a bug and propagates."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, norm = _get_model(config)
@@ -230,7 +231,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 model, noise_cfg, norm.inputs, norm.outputs, scenario,
                 norm.dt, config.metric_def, burn_in,
                 sample_delay_range=config.sample_delay_range)
-        except Exception as exc:  # keep sweeping; record the failure
+        except TelekfError as exc:  # keep sweeping; record the failure
             rows.append([tag, scenario.nj_ms, scenario.nd_ms,
                          scenario.loss_prob * 100.0]
                         + [""] * (2 * len(out_names))
@@ -256,6 +257,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         report_doc = report.to_dict()
         report_doc["config_hash"] = config.config_hash
         report_doc["noise"] = noise.to_dict()
+        report_doc["gain_converged_step"] = run.gain_converged_step
         with open(out / f"{tag}_report.json", "w") as f:
             json.dump(report_doc, f, indent=2)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telekf import dataio, sysid
+from telekf import dataio, estimator, sysid
 from telekf.cli import main
 
 from conftest import random_stable_system
@@ -107,7 +107,39 @@ class TestSweep:
         assert all(line.endswith("ok") for line in lines[2:])
         # one run export and one report per scenario
         assert len(list(out.glob("*_run.csv"))) == 6
-        assert len(list(out.glob("*_report.json"))) == 6
+        reports = list(out.glob("*_report.json"))
+        assert len(reports) == 6
+        for path in reports:
+            step = json.loads(path.read_text())["gain_converged_step"]
+            assert isinstance(step, int) and 0 < step < 800
+
+    def test_bootstrap_schedule_computed_once(self, tmp_path, dataset_csv,
+                                              monkeypatch):
+        schedule = estimator._gain_schedule
+        initial_calls = []
+
+        def counting(A, C, Q, r, P0, n_samples):
+            if (np.array_equal(Q, 1e-4 * np.eye(A.shape[0]))
+                    and np.all(r == 1e-4)):
+                initial_calls.append(n_samples)
+            return schedule(A, C, Q, r, P0, n_samples)
+
+        estimator._cached_schedule.cache_clear()
+        monkeypatch.setattr(estimator, "_gain_schedule", counting)
+        rc = main(["sweep", "--dataset", str(dataset_csv),
+                   "--out", str(tmp_path / "out"), "--block-rows", "10"])
+        assert rc == 0
+        assert initial_calls == [800]
+
+    def test_programming_error_propagates(self, tmp_path, dataset_csv,
+                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the filter")
+
+        monkeypatch.setattr(estimator, "run_filter", broken)
+        with pytest.raises(TypeError, match="bug in the filter"):
+            main(["sweep", "--dataset", str(dataset_csv),
+                  "--out", str(tmp_path / "out"), "--block-rows", "10"])
 
     def test_deterministic(self, tmp_path, dataset_csv):
         out1 = tmp_path / "a"

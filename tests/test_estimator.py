@@ -175,6 +175,84 @@ class TestRunFilter:
         assert np.abs(acf).max() < 3 / np.sqrt(10_000 - 100)
 
 
+def textbook_filter(model, Q, R, u, z, x0, P0):
+    """Reference Kalman filter, one step at a time: predict with the
+    previous input, then the joint gain against diag(R)."""
+    A, B, C = model.A, model.B, model.C
+    R_diag = np.diag(np.diag(R))
+    x, P = np.asarray(x0, dtype=float), np.asarray(P0, dtype=float)
+    states = [x]
+    for k in range(1, u.shape[0]):
+        x = A @ x + B @ u[k - 1]
+        P = A @ P @ A.T + Q
+        K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R_diag)
+        x = x + K @ (z[k] - C @ x)
+        P = (np.eye(x.size) - K @ C) @ P
+        states.append(x)
+    return np.array(states)
+
+
+class TestGainSchedule:
+    def check_against_textbook(self, model, Q, R, u, z, x0, P0):
+        run = estimator.run_filter(model, estimator.NoiseModel(Q=Q, R=R),
+                                   u, z, x0=x0, P0=P0)
+        ref = textbook_filter(model, Q, R, u, z, x0, P0)
+        assert np.all(np.isfinite(run.states))
+        np.testing.assert_allclose(run.states, ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(run.estimates, ref @ model.C.T,
+                                   rtol=0, atol=1e-9)
+        prior = np.vstack([x0, ref[:-1] @ model.A.T + u[:-1] @ model.B.T])
+        np.testing.assert_allclose(run.innovations, z - prior @ model.C.T,
+                                   rtol=0, atol=1e-9)
+        return run
+
+    def test_multi_output_freezes_early(self, rng):
+        model = random_stable_system(rng, 3, 2, 3)
+        Q = 0.01 * np.eye(3)
+        # off-diagonal R is ignored: the reference uses diag(R)
+        R = np.array([[0.02, 0.01, 0.0], [0.01, 0.05, 0.0], [0.0, 0.0, 0.1]])
+        u = rng.standard_normal((500, 2))
+        z = simulate_noisy(model, u, Q, np.diag(np.diag(R)), rng)
+        run = self.check_against_textbook(
+            model, Q, R, u, z, x0=[0.5, -1.0, 2.0],
+            P0=np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.5]]))
+        assert run.gain_converged_step is not None
+        assert run.gain_converged_step < 200
+
+    def test_never_freezes_without_process_noise(self, rng):
+        model = strictly_proper_system(rng, 2, 1, 2)
+        u = rng.standard_normal((300, 1))
+        z = sysid.simulate(model, u)
+        run = self.check_against_textbook(
+            model, np.zeros((2, 2)), 1e-8 * np.eye(2), u, z,
+            x0=[1.0, -1.0], P0=np.eye(2))
+        assert run.gain_converged_step is None
+
+    def test_unstable_unobservable_mode_stays_finite(self, rng):
+        # the second mode is unobservable and grows by 1.3 per step, so the
+        # closed loop keeps it and powers of the step map overflow within
+        # the stream; with no noise or input on that mode its state is 0
+        model = sysid.StateSpaceModel(
+            A=np.diag([0.5, 1.3]), B=np.array([[1.0], [0.0]]),
+            C=np.array([[1.0, 0.0]]), D=np.zeros((1, 1)))
+        assert 3000 * np.log10(1.3) > 308  # 1.3 ** 3000 overflows
+        u = rng.standard_normal((3000, 1))
+        z = rng.standard_normal((3000, 1))
+        run = self.check_against_textbook(
+            model, np.diag([0.01, 0.0]), np.array([[0.1]]), u, z,
+            x0=[0.3, 0.0], P0=np.diag([1.0, 0.0]))
+        assert run.gain_converged_step is not None
+
+    def test_degenerate_noise_names_the_sample(self, rng):
+        # NumericalError is what the CLI reports with exit code 3
+        model = random_stable_system(rng, 2, 1, 1)
+        noise = estimator.NoiseModel(Q=np.zeros((2, 2)), R=np.zeros((1, 1)))
+        with pytest.raises(NumericalError,
+                           match="sample 2: degenerate innovation variance"):
+            estimator.run_filter(model, noise, np.zeros((10, 1)),
+                                 np.zeros((10, 1)), P0=np.zeros((2, 2)))
+
+
 class TestNoiseModel:
     def test_psd_enforced(self):
         with pytest.raises(DataError):
