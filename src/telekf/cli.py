@@ -92,8 +92,12 @@ def config_from_args(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     if getattr(args, "fixed_order", None):
         updates["order_criterion"] = "fixed"
     if getattr(args, "scenarios_file", None):
-        with open(args.scenarios_file) as f:
-            updates["scenarios"] = json.load(f)
+        try:
+            with open(args.scenarios_file) as f:
+                updates["scenarios"] = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(
+                f"cannot read scenarios {args.scenarios_file}: {exc}") from exc
     return dataclasses.replace(config, **updates)
 
 

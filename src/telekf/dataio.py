@@ -9,13 +9,35 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
 DEFAULT_DT = 1.0 / 30.0
+
+
+class JsonFile:
+    """JSON persistence for a dataclass with ``to_dict``/``from_dict``."""
+
+    def save(self, path) -> None:
+        with open(path, "w") as f:
+            json.dump(self.to_dict(), f, indent=2)
+
+    @classmethod
+    def load(cls, path):
+        """Read a file written by ``save``; an unreadable file or a
+        malformed document is a DataError."""
+        try:
+            with open(path) as f:
+                return cls.from_dict(json.load(f))
+        except (OSError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:  # ValueError: JSONDecodeError, non-numbers
+            raise DataError(
+                f"cannot load {cls.__name__} from {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -118,7 +140,7 @@ class ChannelScaling:
 
 
 @dataclass(frozen=True)
-class NormalizationParams:
+class NormalizationParams(JsonFile):
     """Min-max statistics for both roles, retained for inverse transforms."""
 
     inputs: ChannelScaling
@@ -151,15 +173,6 @@ class NormalizationParams:
                 maxs=np.array([e["max"] for e in entries]),
             )
         return cls(inputs=scalings["input"], outputs=scalings["output"])
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "NormalizationParams":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)
@@ -242,92 +255,108 @@ def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> HankelBlo
             f"series of length {n} too short for block_rows={block_rows}, "
             f"columns={columns} (need {block_rows + columns - 1})")
     data = np.empty((block_rows * m, columns))
-    for s in range(block_rows):
-        data[s * m:(s + 1) * m, :] = series[s:s + columns, :].T
+    data.reshape(block_rows, m, columns)[...] = sliding_window_view(
+        series, columns, axis=0)[:block_rows]
     return HankelBlock(data=data, block_rows=block_rows,
                        columns=columns, vars_per_block=m)
+
+
+#: Timestamps are uniform when every step is within this fraction of the
+#: first step; the rounding of ``k * dt`` stays far below it.
+TIME_STEP_RTOL = 1e-6
 
 
 def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     """Load a trajectory dataset from CSV.
 
     Header must name every channel with a ``u:`` or ``y:`` prefix; an
-    optional leading ``t`` column supplies timestamps (dt inferred from the
-    first two rows unless ``dt`` is given explicitly).
+    optional leading ``t`` column supplies timestamps, which must step
+    uniformly (each step within ``TIME_STEP_RTOL`` of the first, relative).
+    dt is that first step unless ``dt`` is given explicitly.  The body is
+    comma-separated numbers, optionally double-quoted or space-padded,
+    with LF, CRLF or CR line ends; blank lines are skipped.
     """
     try:
         f = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         has_time = bool(header) and header[0] == "t"
-        channels = header[1:] if has_time else header
-        u_idx, y_idx, u_names, y_names = [], [], [], []
-        offset = 1 if has_time else 0
-        for i, name in enumerate(channels):
-            if name.startswith("u:"):
-                u_idx.append(i + offset)
-                u_names.append(name[2:])
-            elif name.startswith("y:"):
-                y_idx.append(i + offset)
-                y_names.append(name[2:])
-            else:
+        for name in header[1:] if has_time else header:
+            if name[:2] not in ("u:", "y:"):
                 raise DataError(
                     f"{path}: column '{name}' lacks a u:/y: role prefix")
+        u_idx = [i for i, name in enumerate(header) if name[:2] == "u:"]
+        y_idx = [i for i, name in enumerate(header) if name[:2] == "y:"]
         if not u_idx or not y_idx:
             raise DataError(f"{path}: need at least one u: and one y: column")
-        rows = []
-        times = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {lineno} has {len(row)} fields, "
-                    f"expected {len(header)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if has_time:
-                times.append(vals[0])
-            rows.append(vals)
-    if len(rows) < 2:
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below as too few rows
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(f, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    if data.shape[0] < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
-    data = np.array(rows, dtype=float)
+    if data.shape[1] != len(header):
+        raise DataError(
+            f"{path}: data rows have {data.shape[1]} fields, "
+            f"expected {len(header)}")
     for r, c in np.argwhere(~np.isfinite(data)):
         raise DataError(f"{path}: non-finite value at row {r + 1}, column {c}")
-    if dt is None:
-        dt = (times[1] - times[0]) if has_time else DEFAULT_DT
+    if has_time:
+        steps = np.diff(data[:, 0])
+        bad = ((steps <= 0)
+               | (np.abs(steps - steps[0]) > TIME_STEP_RTOL * steps[0]))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DataError(
+                f"{path}: timestamps must increase uniformly; rows {k + 1} "
+                f"to {k + 2} step by {steps[k]!r}, the first step is "
+                f"{steps[0]!r}")
+        if dt is None:
+            dt = float(steps[0])
     return TrajectoryDataset(
         inputs=data[:, u_idx],
         outputs=data[:, y_idx],
-        dt=dt,
-        input_names=tuple(u_names),
-        output_names=tuple(y_names),
+        dt=DEFAULT_DT if dt is None else dt,
+        input_names=tuple(header[i][2:] for i in u_idx),
+        output_names=tuple(header[i][2:] for i in y_idx),
     )
+
+
+def write_table(path, columns: list[str], rows: list[list],
+                stamp: str | None = None, first_index: int | None = 0) -> None:
+    """Write an optional ``stamp`` line, the ``columns`` header, then one
+    CSV line per row of Python numbers (as from ``ndarray.tolist()``), led
+    by its index counted from ``first_index`` unless that is None.  Cells
+    are ``repr`` with CRLF line ends: the bytes ``csv.writer`` gives for
+    ``repr(float(v))`` cells."""
+    with open(path, "w", newline="") as f:
+        if stamp is not None:
+            f.write(stamp + "\n")
+        csv.writer(f).writerow(columns)
+        if first_index is None:
+            f.write("".join(f"{','.join(map(repr, r))}\r\n" for r in rows))
+        else:
+            f.write("".join(f"{k},{','.join(map(repr, r))}\r\n"
+                            for k, r in enumerate(rows, first_index)))
 
 
 def save_dataset(dataset: TrajectoryDataset, path, with_time: bool = True) -> None:
     """Write a dataset back to the CSV layout accepted by load_dataset."""
-    header = []
+    header = ([f"u:{n}" for n in dataset.input_names]
+              + [f"y:{n}" for n in dataset.output_names])
+    parts = [dataset.inputs, dataset.outputs]
     if with_time:
-        header.append("t")
-    header += [f"u:{n}" for n in dataset.input_names]
-    header += [f"y:{n}" for n in dataset.output_names]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for k in range(dataset.n_samples):
-            row = []
-            if with_time:
-                row.append(repr(float(k * dataset.dt)))
-            row += [repr(float(v)) for v in dataset.inputs[k]]
-            row += [repr(float(v)) for v in dataset.outputs[k]]
-            writer.writerow(row)
+        header.insert(0, "t")
+        parts.insert(0, np.arange(dataset.n_samples)[:, None] * dataset.dt)
+    write_table(path, header, np.hstack(parts).tolist(), first_index=None)

@@ -12,11 +12,11 @@ are the single-step form; kf_update can also do the joint update.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import JsonFile
 from .errors import DataError, NumericalError
 from .netsim import ImpairedStream, NetworkScenario
 from .sysid import StateSpaceModel
@@ -36,7 +36,7 @@ def _psd_clip(M: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(JsonFile):
     """Process (Q) and measurement (R) noise covariances."""
 
     Q: np.ndarray
@@ -73,15 +73,6 @@ class NoiseModel:
     def from_dict(cls, doc: dict) -> "NoiseModel":
         return cls(Q=np.array(doc["Q"]), R=np.array(doc["R"]),
                    provenance=doc.get("provenance", "initial"))
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "NoiseModel":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ used (``metric_def``).  The default is range-normalized:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import JsonFile
 from .errors import DataError
 from .netsim import NetworkScenario
 from .sysid import StateSpaceModel, simulate
@@ -30,7 +30,7 @@ REFERENCE_ACCURACY_PAIRS = (
 
 
 @dataclass(frozen=True)
-class EstimationReport:
+class EstimationReport(JsonFile):
     """Per-channel quality summary for one filter run."""
 
     rmse: np.ndarray
@@ -78,10 +78,6 @@ class EstimationReport:
             scenario=NetworkScenario.from_dict(sc) if sc else None,
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
 
 def _check_pair(estimates, truth):
     estimates = np.asarray(estimates, dtype=float)
@@ -128,21 +124,11 @@ def innovation_whiteness(innovations: np.ndarray, max_lag: int = 10
                          ) -> tuple[np.ndarray, float]:
     """Max |sample autocorrelation| over lags 1..max_lag, per channel,
     plus the 95% confidence band 1.96/sqrt(N)."""
-    x = np.atleast_2d(np.asarray(innovations, dtype=float))
-    if x.shape[0] == 1 and x.shape[1] > 1:
-        x = x.T
-    n = x.shape[0]
-    if max_lag < 1 or n <= max_lag:
-        raise DataError(f"need more than max_lag={max_lag} samples, got {n}")
-    centered = x - x.mean(axis=0)
-    var = np.sum(centered ** 2, axis=0)
-    if np.any(var == 0):
-        raise DataError("zero-variance channel: autocorrelation undefined")
-    stats = np.zeros(x.shape[1])
-    for lag in range(1, max_lag + 1):
-        acf = np.sum(centered[lag:] * centered[:-lag], axis=0) / var
-        stats = np.maximum(stats, np.abs(acf))
-    return stats, 1.96 / np.sqrt(n)
+    if max_lag < 1:
+        raise DataError(f"max_lag must be >= 1, got {max_lag}")
+    acf = autocorrelations(innovations, max_lag)
+    n = np.size(innovations) // acf.shape[1]
+    return np.abs(acf).max(axis=0), 1.96 / np.sqrt(n)
 
 
 def autocorrelations(series: np.ndarray, max_lag: int) -> np.ndarray:

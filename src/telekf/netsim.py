@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,30 @@ class NetworkScenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
-        if "np" in doc:
-            loss = float(doc["np"])
-        elif "np_pct" in doc:
-            loss = float(doc["np_pct"]) / 100.0
-        else:
-            raise DataError("scenario needs 'np' (fraction) or 'np_pct' (percent)")
-        rng = doc.get("delay_range_ms")
+        """Build a scenario from its JSON form; a missing or non-numeric
+        delay, jitter or loss entry is a ConfigError."""
+        try:
+            if "np" in doc:
+                loss = float(doc["np"])
+            elif "np_pct" in doc:
+                loss = float(doc["np_pct"]) / 100.0
+            else:
+                raise ConfigError(
+                    "scenario needs 'np' (fraction) or 'np_pct' (percent)")
+            nd_ms, nj_ms = float(doc["nd_ms"]), float(doc["nj_ms"])
+            seed = int(doc.get("seed", 0))
+            rng = doc.get("delay_range_ms")
+            rng = tuple(rng) if rng else None
+        except KeyError as exc:
+            raise ConfigError(f"scenario needs {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad scenario {doc!r}: {exc}") from None
         return cls(
-            nd_ms=float(doc["nd_ms"]),
-            nj_ms=float(doc["nj_ms"]),
+            nd_ms=nd_ms,
+            nj_ms=nj_ms,
             loss_prob=loss,
-            seed=int(doc.get("seed", 0)),
-            delay_range_ms=tuple(rng) if rng else None,
+            seed=seed,
+            delay_range_ms=rng,
             label=doc.get("label", ""),
         )
 

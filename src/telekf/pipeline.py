@@ -91,14 +91,12 @@ def _stamp(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash} metric_def={config.metric_def}"
 
 
-def _write_csv(path, header_comment: str, columns: list[str],
-               rows) -> None:
-    with open(path, "w", newline="") as f:
-        f.write(header_comment + "\n")
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
+    """Write ``doc`` as JSON stamped with the config hash, which follows
+    doc's own keys (or keeps its place when doc has one), then ``extra``."""
+    with open(path, "w") as f:
+        json.dump({**doc, "config_hash": config.config_hash, **extra}, f,
+                  indent=2)
 
 
 def _load_and_normalize(config: ExperimentConfig):
@@ -135,15 +133,12 @@ def cmd_identify(config: ExperimentConfig) -> dict:
     model, decomp, order = _identify(config, norm, params)
 
     model_path = out / "model.json"
-    doc = model.to_dict()
-    doc["config_hash"] = config.config_hash
-    with open(model_path, "w") as f:
-        json.dump(doc, f, indent=2)
+    _write_json(model_path, config, model.to_dict())
 
     scree_path = out / "singular_values.csv"
-    _write_csv(scree_path, _stamp(config), ["index", "singular_value"],
-               ((i + 1, repr(float(v)))
-                for i, v in enumerate(decomp.singular_values)))
+    dataio.write_table(scree_path, ["index", "singular_value"],
+                       decomp.singular_values[:, None].tolist(),
+                       stamp=_stamp(config), first_index=1)
 
     ss = decomp.singular_values
     log = {
@@ -157,8 +152,7 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "n_singular_values": int(ss.size),
     }
     log_path = out / "identify_log.json"
-    with open(log_path, "w") as f:
-        json.dump(log, f, indent=2)
+    _write_json(log_path, config, log)
     return {"model": model, "decomposition": decomp, "order": order,
             "paths": {"model": model_path, "scree": scree_path, "log": log_path}}
 
@@ -226,21 +220,18 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     reports = []
     for i, scenario in enumerate(scenarios):
         tag = scenario.label or f"scenario_{i + 1}"
+        head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
             stream, noise, run, report = run_scenario(
                 model, noise_cfg, norm.inputs, norm.outputs, scenario,
                 norm.dt, config.metric_def, burn_in,
                 sample_delay_range=config.sample_delay_range)
         except TelekfError as exc:  # keep sweeping; record the failure
-            rows.append([tag, scenario.nj_ms, scenario.nd_ms,
-                         scenario.loss_prob * 100.0]
-                        + [""] * (2 * len(out_names))
+            rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        rows.append([tag, scenario.nj_ms, scenario.nd_ms,
-                     scenario.loss_prob * 100.0]
-                    + [f"{a:.4f}" for a in report.accuracy_pct]
+        rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
         reports.append(report)
@@ -249,20 +240,18 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         run_cols = (["k"] + [f"z_{n}" for n in out_names]
                     + [f"yhat_{n}" for n in out_names]
                     + [f"innov_{n}" for n in out_names])
-        _write_csv(run_path, _stamp(config), run_cols,
-                   ([k] + [repr(float(v)) for v in stream.observed[k]]
-                    + [repr(float(v)) for v in run.estimates[k]]
-                    + [repr(float(v)) for v in run.innovations[k]]
-                    for k in range(run.estimates.shape[0])))
-        report_doc = report.to_dict()
-        report_doc["config_hash"] = config.config_hash
-        report_doc["noise"] = noise.to_dict()
-        report_doc["gain_converged_step"] = run.gain_converged_step
-        with open(out / f"{tag}_report.json", "w") as f:
-            json.dump(report_doc, f, indent=2)
+        dataio.write_table(
+            run_path, run_cols,
+            np.hstack([stream.observed, run.estimates,
+                       run.innovations]).tolist(), stamp=_stamp(config))
+        _write_json(out / f"{tag}_report.json", config, report.to_dict(),
+                    noise=noise.to_dict(),
+                    gain_converged_step=run.gain_converged_step)
 
     summary_path = out / "sweep_summary.csv"
-    _write_csv(summary_path, _stamp(config), columns, rows)
+    with open(summary_path, "w", newline="") as f:
+        f.write(_stamp(config) + "\n")
+        csv.writer(f).writerows([columns] + rows)
     return {"summary": summary_path, "reports": reports, "model": model}
 
 
@@ -284,24 +273,20 @@ def cmd_validate(config: ExperimentConfig) -> dict:
             f"expects {model.m_in}x{model.m_out}")
     norm, _ = dataio.normalize(raw, params=model.norm_params)
 
-    burn_in = _burn_in(config, model)
-    report = metrics.fit_report(model, norm.inputs, norm.outputs,
-                                metric_def=config.metric_def, burn_in=burn_in)
     predicted = sysid.simulate(model, norm.inputs)
+    report = metrics.report_run(predicted, norm.outputs,
+                                metric_def=config.metric_def,
+                                burn_in=_burn_in(config, model))
 
-    report_doc = report.to_dict()
-    report_doc["config_hash"] = config.config_hash
     report_path = out / "fit_report.json"
-    with open(report_path, "w") as f:
-        json.dump(report_doc, f, indent=2)
+    _write_json(report_path, config, report.to_dict())
 
     series_path = out / "validation_series.csv"
     cols = (["k"] + [f"truth_{n}" for n in norm.output_names]
             + [f"pred_{n}" for n in norm.output_names])
-    _write_csv(series_path, _stamp(config), cols,
-               ([k] + [repr(float(v)) for v in norm.outputs[k]]
-                + [repr(float(v)) for v in predicted[k]]
-                for k in range(norm.n_samples)))
+    dataio.write_table(series_path, cols,
+                       np.hstack([norm.outputs, predicted]).tolist(),
+                       stamp=_stamp(config))
     return {"report": report, "paths": {"report": report_path,
                                         "series": series_path}}
 
@@ -322,10 +307,10 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     path = out / "impaired.csv"
     cols = (["k"] + [f"obs_{n}" for n in norm.output_names]
             + ["source_index", "lost"])
-    _write_csv(path, _stamp(config), cols,
-               ([k] + [repr(float(v)) for v in stream.observed[k]]
-                + [int(stream.source_index[k]), int(stream.loss_mask[k])]
-                for k in range(stream.n_samples)))
+    rows = [obs + [src, lost] for obs, src, lost in zip(
+        stream.observed.tolist(), stream.source_index.tolist(),
+        stream.loss_mask.astype(int).tolist())]
+    dataio.write_table(path, cols, rows, stamp=_stamp(config))
     return {"stream": stream, "path": path, "scenario": scenario}
 
 
@@ -335,8 +320,6 @@ def cmd_calibrate_accuracy(config: ExperimentConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = metrics.calibrate_accuracy()
-    result["config_hash"] = config.config_hash
     path = out / "accuracy_calibration.json"
-    with open(path, "w") as f:
-        json.dump(result, f, indent=2)
+    _write_json(path, config, result)
     return {"result": result, "path": path}

@@ -10,18 +10,17 @@ vectors and the L-factor partitions.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import NormalizationParams, build_hankel
+from .dataio import JsonFile, NormalizationParams, build_hankel
 from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
-class StateSpaceModel:
+class StateSpaceModel(JsonFile):
     """Discrete-time model x_{k+1} = A x_k + B u_k, y_k = C x_k + D u_k."""
 
     A: np.ndarray
@@ -107,15 +106,6 @@ class StateSpaceModel:
             dt=doc["dt"],
             norm_params=NormalizationParams.from_dict(norm) if norm else None,
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "StateSpaceModel":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass(frozen=True)
@@ -314,10 +304,10 @@ def simulate(model: StateSpaceModel, inputs: np.ndarray,
             f"input has {inputs.shape[1]} channels, model expects {model.m_in}")
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    out = np.empty((inputs.shape[0], model.m_out))
-    A, B, C, D = model.A, model.B, model.C, model.D
+    A = model.A
+    bu = inputs @ model.B.T
+    xs = np.empty((inputs.shape[0], n))
     for k in range(inputs.shape[0]):
-        u = inputs[k]
-        out[k] = C @ x + D @ u
-        x = A @ x + B @ u
-    return out
+        xs[k] = x
+        x = A @ x + bu[k]
+    return xs @ model.C.T + inputs @ model.D.T

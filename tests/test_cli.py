@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telekf import dataio, estimator, sysid
+from telekf import dataio, estimator, metrics, sysid
 from telekf.cli import main
 
 from conftest import random_stable_system
@@ -88,6 +88,25 @@ class TestValidate:
         assert all(0.0 <= a <= 100.0 for a in report["accuracy_pct"])
         assert report["metric_def"] == "nrmse_range"
         assert "validation accuracy" in capsys.readouterr().out
+
+    def test_simulates_once(self, tmp_path, dataset_csv, validation_csv,
+                            monkeypatch):
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        simulate = sysid.simulate
+        calls = []
+
+        def counting(model, inputs, x0=None):
+            calls.append(np.shape(inputs)[0])
+            return simulate(model, inputs, x0)
+
+        monkeypatch.setattr(sysid, "simulate", counting)
+        monkeypatch.setattr(metrics, "simulate", counting)
+        assert main(["validate", "--model", str(out / "model.json"),
+                     "--validation-dataset", str(validation_csv),
+                     "--out", str(out)]) == 0
+        assert calls == [400]
 
     def test_missing_validation_dataset(self, tmp_path, dataset_csv):
         rc = main(["validate", "--dataset", str(dataset_csv),
@@ -224,6 +243,48 @@ class TestErrors:
         rc = main(["identify", "--config", str(cfg)])
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"A": [[0.5]], "C": [[1.0]], "D": [[0.0]], "dt": 0.1}),
+        json.dumps({"A": [[0.5]], "B": [["x"]], "C": [[1.0]], "D": [[0.0]],
+                    "dt": 0.1}),
+        json.dumps([1, 2]),
+    ], ids=["bad_json", "missing_B", "non_numeric", "not_object"])
+    def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
+                                           capsys, text):
+        model = tmp_path / "bad.json"
+        model.write_text(text)
+        rc = main(["sweep", "--dataset", str(dataset_csv),
+                   "--model", str(model), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "cannot load StateSpaceModel" in capsys.readouterr().err
+
+    def test_missing_model_is_data_error(self, tmp_path, dataset_csv):
+        rc = main(["sweep", "--dataset", str(dataset_csv),
+                   "--model", str(tmp_path / "absent.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        "[{",
+        json.dumps([{"nj_ms": 1.0, "np_pct": 0.1}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": "fast", "np_pct": 0.1}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                     "delay_range_ms": 5}]),
+        json.dumps([3]),
+    ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
+            "scalar_delay_range", "not_object"])
+    def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
+                                                  capsys, text):
+        scen = tmp_path / "scen.json"
+        scen.write_text(text)
+        rc = main(["sweep", "--dataset", str(dataset_csv), "--block-rows",
+                   "10", "--scenarios", str(scen),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_degenerate_data_is_numerical_error(self, tmp_path):
         n = 200

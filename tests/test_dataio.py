@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +76,116 @@ class TestLoadDataset:
         np.testing.assert_array_equal(loaded.outputs, ds.outputs)
         dataio.save_dataset(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def old_parse(path):
+    """The row-by-row reader the bulk loader replaced: csv.reader, blank
+    rows skipped, float() per cell."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
+        return np.array([[float(v) for v in row] for row in reader if row])
+
+
+class TestLoaderDialect:
+    HEADER = "t,u:a,y:b,y:c"
+    BODIES = {
+        "crlf": "0.0,1.5,-2,3e-3\r\n0.25,4,5.25,-6\r\n0.5,7,8,9\r\n",
+        "blank_lines": "\n0.0,1.5,-2,3e-3\n\n0.25,4,5.25,-6\n\n\n0.5,7,8,9\n",
+        "padded": " 0.0 , 1.5,\t-2 ,3e-3\n0.25,  4,5.25 , -6\n0.5,7,8,9  \n",
+        "quoted": '"0.0","1.5",-2,"3e-3"\n0.25,4," 5.25",-6\n0.5,7,8,"9"\n',
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_matches_row_parser(self, tmp_path, kind):
+        newline = "\r\n" if kind == "crlf" else "\n"
+        p = tmp_path / "d.csv"
+        p.write_bytes((self.HEADER + newline + self.BODIES[kind]).encode())
+        ds = dataio.load_dataset(p)
+        ref = old_parse(p)
+        np.testing.assert_array_equal(ds.inputs, ref[:, 1:2])
+        np.testing.assert_array_equal(ds.outputs, ref[:, 2:])
+        assert ds.dt == 0.25
+
+    @pytest.mark.parametrize("body", [
+        "1,2\n3,4,5\n6,7\n",     # ragged row
+        "1,2\nx,4\n",             # non-numeric cell
+    ], ids=["ragged", "non_numeric"])
+    def test_bad_body_is_data_error(self, tmp_path, body):
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + body)
+        with pytest.raises(DataError, match=str(p.name)):
+            dataio.load_dataset(p)
+
+    def test_header_only_names_row_count(self, tmp_path, recwarn):
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n")
+        with pytest.raises(DataError, match="fewer than 2 data rows"):
+            dataio.load_dataset(p)
+        assert not [w for w in recwarn if "loadtxt" in str(w.message)]
+
+
+class TestTimestamps:
+    def test_k_times_dt_rounding_passes(self, tmp_path):
+        dt = 1 / 30
+        rows = [f"{k * dt!r},{k % 7},{k % 5}" for k in range(36000)]
+        p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "\n".join(rows))
+        assert dataio.load_dataset(p).dt == dt
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.1, 0.2, 0.35, 0.4],    # one long step
+        [0.0, 0.1, 0.2, 0.2, 0.3],     # repeated timestamp
+        [0.4, 0.3, 0.2, 0.1, 0.0],     # decreasing
+        [0.0, 0.1, 0.2, 0.300001, 0.4],  # off by 1e-5 of a step
+    ], ids=["gap", "repeat", "decreasing", "jitter"])
+    def test_non_uniform_is_data_error(self, tmp_path, times):
+        rows = [f"{t},{k},{k}" for k, t in enumerate(times)]
+        p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "\n".join(rows))
+        with pytest.raises(DataError, match="uniformly"):
+            dataio.load_dataset(p)
+
+    def test_explicit_dt_still_checks_uniformity(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n0,1,2\n1,3,4\n3,5,6\n")
+        with pytest.raises(DataError, match="uniformly"):
+            dataio.load_dataset(p, dt=0.5)
+
+
+class TestWriteTable:
+    VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16,
+              1.7976931348623157e308, -1.2345678901234567e-300, 0.1, 1 / 3,
+              -2.5, 123456789.125]
+
+    def reference(self, columns, table, stamp, first_index):
+        """csv.writer over repr(float(v)) cells, as the exports were
+        written row by row."""
+        buf = io.StringIO(newline="")
+        if stamp is not None:
+            buf.write(stamp + "\n")
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for k, row in enumerate(table):
+            lead = [] if first_index is None else [k + first_index]
+            writer.writerow(lead + [repr(float(v)) for v in row])
+        return buf.getvalue().encode()
+
+    @pytest.mark.parametrize("stamp,first_index", [
+        ("# config_hash=abc metric_def=nrmse_range", 0),
+        (None, 1),
+        (None, None),
+    ])
+    def test_bytes_match_csv_writer(self, tmp_path, stamp, first_index):
+        table = np.array(self.VALUES).reshape(4, 3)
+        columns = ["a", "b", "c"] if first_index is None else \
+            ["k", "a", "b", "c"]
+        p = tmp_path / "t.csv"
+        dataio.write_table(p, columns, table.tolist(), stamp=stamp,
+                           first_index=first_index)
+        assert p.read_bytes() == self.reference(columns, table, stamp,
+                                                first_index)
+
+    def test_integer_cells_stay_integers(self, tmp_path):
+        p = tmp_path / "t.csv"
+        dataio.write_table(p, ["k", "x", "src", "lost"],
+                           [[0.5, 3, 0], [-0.0, 0, 1]])
+        assert p.read_bytes() == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
 
 
 class TestNormalize:
@@ -172,6 +285,16 @@ class TestHankel:
     def test_insufficient_samples(self):
         with pytest.raises(DataError, match="too short"):
             dataio.build_hankel(np.arange(4.0), 3, 3)
+
+    def test_matches_block_row_loop(self, rng):
+        series = rng.standard_normal((257, 4))
+        block_rows, columns = 9, 240
+        h = dataio.build_hankel(series, block_rows, columns)
+        ref = np.empty((block_rows * 4, columns))
+        for s in range(block_rows):
+            ref[s * 4:(s + 1) * 4, :] = series[s:s + columns, :].T
+        assert h.data.flags.c_contiguous
+        assert h.data.tobytes() == ref.tobytes()
 
     def test_antidiagonal_property(self, rng):
         series = rng.standard_normal((30, 2))
