@@ -266,6 +266,37 @@ def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> HankelBlo
 TIME_STEP_RTOL = 1e-6
 
 
+def _cell(row: int, col: int, header: list[str]) -> str:
+    """Name a body cell: 1-based data row (blank lines not counted),
+    0-based column index and the column's header name."""
+    return f"row {row}, column {col} ({header[col]})"
+
+
+def _find_bad_cell(path, header: list[str]) -> str | None:
+    """Describe the first body row whose field count is off or whose cell
+    is not a number, rescanning the file row by row (error path only);
+    None when the scan finds no such row or cannot read the file (a byte
+    that is not text, a field too long for csv)."""
+    try:
+        with open(path, newline="") as f:
+            rows = csv.reader(f)
+            next(rows)
+            for r, row in enumerate((row for row in rows if row), 1):
+                if len(row) != len(header):
+                    return (f"data row {r} has {len(row)} fields, expected "
+                            f"{len(header)}")
+                for c, cell in enumerate(row):
+                    try:
+                        # np.loadtxt refuses the digit separators float() takes
+                        float(cell.replace("_", "?"))
+                    except ValueError:
+                        return (f"non-numeric value {cell!r} at "
+                                f"{_cell(r, c, header)}")
+    except (ValueError, csv.Error):
+        pass
+    return None
+
+
 def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     """Load a trajectory dataset from CSV.
 
@@ -303,7 +334,8 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
                 data = np.loadtxt(f, delimiter=",", comments=None,
                                   quotechar='"', ndmin=2)
         except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+            where = _find_bad_cell(path, header) or exc
+            raise DataError(f"{path}: {where}") from exc
     if data.shape[0] < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
     if data.shape[1] != len(header):
@@ -311,7 +343,8 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
             f"{path}: data rows have {data.shape[1]} fields, "
             f"expected {len(header)}")
     for r, c in np.argwhere(~np.isfinite(data)):
-        raise DataError(f"{path}: non-finite value at row {r + 1}, column {c}")
+        raise DataError(
+            f"{path}: non-finite value at {_cell(r + 1, c, header)}")
     if has_time:
         steps = np.diff(data[:, 0])
         bad = ((steps <= 0)

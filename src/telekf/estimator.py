@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import JsonFile
 from .errors import DataError, NumericalError
-from .netsim import ImpairedStream, NetworkScenario
+from .netsim import ImpairedStream
 from .sysid import StateSpaceModel
 
 
@@ -105,7 +105,6 @@ class EstimationRun:
     estimates: np.ndarray
     innovations: np.ndarray
     states: np.ndarray
-    scenario: NetworkScenario | None = None
     gain_converged_step: int | None = None
 
 
@@ -221,8 +220,8 @@ def _cached_schedule(key, n_samples):
 
 def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
                measurements: ImpairedStream | np.ndarray,
-               x0: np.ndarray | None = None, P0: np.ndarray | None = None,
-               scenario: NetworkScenario | None = None) -> EstimationRun:
+               x0: np.ndarray | None = None,
+               P0: np.ndarray | None = None) -> EstimationRun:
     """Run predict/update over the full stream.
 
     Sample 1 keeps the initial state (x0 = 0, P0 = I by default); from
@@ -237,8 +236,6 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     """
     if isinstance(measurements, ImpairedStream):
         z_seq = measurements.observed
-        if scenario is None:
-            scenario = getattr(measurements, "scenario", None)
     else:
         z_seq = np.atleast_2d(np.asarray(measurements, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -277,8 +274,7 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     innovations[0] = z_seq[0] - C @ states[0]
     innovations[1:] = z_seq[1:] - (states[:-1] @ A.T + Bu) @ C.T
     return EstimationRun(estimates=states @ C.T, innovations=innovations,
-                         states=states, scenario=scenario,
-                         gain_converged_step=frozen_at)
+                         states=states, gain_converged_step=frozen_at)
 
 
 def estimate_noise_empirical(

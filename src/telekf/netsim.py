@@ -54,7 +54,8 @@ class NetworkScenario:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
         """Build a scenario from its JSON form; a missing or non-numeric
-        delay, jitter or loss entry is a ConfigError."""
+        delay, jitter or loss entry, or a delay_range_ms that is not two
+        finite numbers 0 <= lo <= hi, is a ConfigError."""
         try:
             if "np" in doc:
                 loss = float(doc["np"])
@@ -66,7 +67,13 @@ class NetworkScenario:
             nd_ms, nj_ms = float(doc["nd_ms"]), float(doc["nj_ms"])
             seed = int(doc.get("seed", 0))
             rng = doc.get("delay_range_ms")
-            rng = tuple(rng) if rng else None
+            if rng is not None:
+                rng = tuple(rng)
+                if not (len(rng) == 2 and np.all(np.isfinite(rng))
+                        and 0 <= rng[0] <= rng[1]):
+                    raise ConfigError(
+                        f"delay_range_ms must be two finite numbers "
+                        f"0 <= lo <= hi, got {doc['delay_range_ms']!r}")
         except KeyError as exc:
             raise ConfigError(f"scenario needs {exc}") from None
         except (TypeError, ValueError) as exc:

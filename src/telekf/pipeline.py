@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import shutil
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,16 @@ def derive_seed(master_seed: int, index: int) -> int:
     """Per-scenario seed: 64-bit blake2b digest of "master:index"."""
     digest = hashlib.blake2b(f"{master_seed}:{index}".encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
+
+
+def _is_kind(value, kind: str) -> bool:
+    """Whether a JSON value fits one member of a field's type annotation:
+    bool is not an int, and an int is a float."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    return {"None": value is None, "str": isinstance(value, str),
+            "list": isinstance(value, list), "int": isinstance(value, int),
+            "float": isinstance(value, (int, float))}.get(kind, False)
 
 
 @dataclass(frozen=True)
@@ -47,16 +58,29 @@ class ExperimentConfig:
     metric_def: str = metrics.DEFAULT_METRIC
     out_dir: str = "out"
 
+    def __post_init__(self):
+        if self.scenarios != "suite" and not isinstance(self.scenarios, list):
+            raise ConfigError(
+                f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
+
     def to_dict(self) -> dict:
         doc = asdict(self)
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {doc!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(doc) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        for name, value in doc.items():
+            kinds = cls.__dataclass_fields__[name].type.split(" | ")
+            if not any(_is_kind(value, k) for k in kinds):
+                raise ConfigError(
+                    f"config key {name!r} must be {' or '.join(kinds)}, "
+                    f"got {value!r}")
         return cls(**doc)
 
     @classmethod
@@ -78,11 +102,8 @@ class ExperimentConfig:
     def resolve_scenarios(self) -> list[netsim.NetworkScenario]:
         if self.scenarios == "suite":
             base = netsim.scenario_suite()
-        elif isinstance(self.scenarios, list):
-            base = [netsim.NetworkScenario.from_dict(d) for d in self.scenarios]
         else:
-            raise ConfigError(
-                f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
+            base = [netsim.NetworkScenario.from_dict(d) for d in self.scenarios]
         return [s.with_seed(derive_seed(self.master_seed, i))
                 for i, s in enumerate(base)]
 
@@ -175,6 +196,19 @@ def _get_model(config: ExperimentConfig):
     return model, norm
 
 
+def _estimate(model: sysid.StateSpaceModel,
+              noise_cfg: tuple[float, float, int], inputs: np.ndarray,
+              observed: np.ndarray):
+    """Bootstrap Q/R on an observed stream, then filter it.  The result
+    depends on the stream alone, so scenarios that deliver the same
+    stream can share it."""
+    eps_q, eps_r, iterations = noise_cfg
+    noise = estimator.estimate_noise_empirical(
+        model, inputs, observed, eps_q=eps_q, eps_r=eps_r,
+        iterations=iterations)
+    return noise, estimator.run_filter(model, noise, inputs, observed)
+
+
 def run_scenario(model: sysid.StateSpaceModel,
                  noise_cfg: tuple[float, float, int],
                  inputs: np.ndarray, clean_outputs: np.ndarray,
@@ -182,14 +216,9 @@ def run_scenario(model: sysid.StateSpaceModel,
                  metric_def: str, burn_in: int,
                  sample_delay_range: bool = False):
     """Impair, bootstrap Q/R on the observed stream, filter, report."""
-    eps_q, eps_r, iterations = noise_cfg
     stream = netsim.impair(clean_outputs, scenario, dt,
                            sample_delay_range=sample_delay_range)
-    noise = estimator.estimate_noise_empirical(
-        model, inputs, stream.observed, eps_q=eps_q, eps_r=eps_r,
-        iterations=iterations)
-    run = estimator.run_filter(model, noise, inputs, stream,
-                               scenario=scenario)
+    noise, run = _estimate(model, noise_cfg, inputs, stream.observed)
     report = metrics.report_run(run.estimates, clean_outputs,
                                 innovations=run.innovations,
                                 metric_def=metric_def, burn_in=burn_in,
@@ -201,13 +230,22 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     """Run the scenario sweep and write a Table-style summary CSV plus
     per-scenario run exports.  Per-scenario toolkit errors (TelekfError)
     are recorded in the summary without aborting the sweep; any other
-    exception is a bug and propagates."""
+    exception is a bug and propagates.
+
+    Scenarios whose channel delivers a stream bit-identical to an earlier
+    scenario's reuse that scenario's bootstrap, filter run and run CSV;
+    their reports name it in ``same_stream_as``.  Labels must be unique,
+    since each names its scenario's files."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, norm = _get_model(config)
     if norm is None:
         raise ConfigError("sweep needs a dataset (for inputs and truth)")
     scenarios = config.resolve_scenarios()
+    tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
+    repeated = sorted({t for t in tags if tags.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"scenario labels repeat: {repeated}")
     burn_in = _burn_in(config, model)
     noise_cfg = (config.eps_q, config.eps_r, config.bootstrap_iterations)
 
@@ -216,37 +254,58 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                + [f"acc_{n}" for n in out_names]
                + [f"rmse_{n}" for n in out_names]
                + ["status"])
+    run_cols = (["k"] + [f"z_{n}" for n in out_names]
+                + [f"yhat_{n}" for n in out_names]
+                + [f"innov_{n}" for n in out_names])
     rows = []
     reports = []
-    for i, scenario in enumerate(scenarios):
-        tag = scenario.label or f"scenario_{i + 1}"
+    # observed stream bytes -> (tag, noise, report, gain_converged_step) of
+    # the first scenario that delivered it; a report depends on the stream
+    # alone apart from the scenario it names
+    shared = {}
+    for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
-            stream, noise, run, report = run_scenario(
-                model, noise_cfg, norm.inputs, norm.outputs, scenario,
-                norm.dt, config.metric_def, burn_in,
+            stream = netsim.impair(
+                norm.outputs, scenario, norm.dt,
                 sample_delay_range=config.sample_delay_range)
+            key = stream.observed.tobytes()
+            hit = shared.get(key)
+            if hit is None:
+                noise, run = _estimate(model, noise_cfg, norm.inputs,
+                                       stream.observed)
+                hit = (None, noise, metrics.report_run(
+                    run.estimates, norm.outputs, innovations=run.innovations,
+                    metric_def=config.metric_def, burn_in=burn_in),
+                    run.gain_converged_step)
+            same_as, noise, report, converged = hit
+            report = replace(report, scenario=scenario)
         except TelekfError as exc:  # keep sweeping; record the failure
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
+        shared.setdefault(key, (tag, *hit[1:]))
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
         reports.append(report)
 
         run_path = out / f"{tag}_run.csv"
-        run_cols = (["k"] + [f"z_{n}" for n in out_names]
-                    + [f"yhat_{n}" for n in out_names]
-                    + [f"innov_{n}" for n in out_names])
-        dataio.write_table(
-            run_path, run_cols,
-            np.hstack([stream.observed, run.estimates,
-                       run.innovations]).tolist(), stamp=_stamp(config))
+        if same_as is None:
+            dataio.write_table(
+                run_path, run_cols,
+                np.hstack([stream.observed, run.estimates,
+                           run.innovations]).tolist(),
+                stamp=_stamp(config))
+        else:
+            shutil.copyfile(out / f"{same_as}_run.csv", run_path)
         _write_json(out / f"{tag}_report.json", config, report.to_dict(),
-                    noise=noise.to_dict(),
-                    gain_converged_step=run.gain_converged_step)
+                    noise=noise.to_dict(), gain_converged_step=converged,
+                    rows_changed=int(np.any(stream.observed != norm.outputs,
+                                            axis=1).sum()),
+                    lost=int(stream.loss_mask.sum()),
+                    same_stream_as=same_as)
 
     summary_path = out / "sweep_summary.csv"
     with open(summary_path, "w", newline="") as f:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telekf import dataio, estimator, metrics, sysid
+from telekf import dataio, estimator, metrics, pipeline, sysid
 from telekf.cli import main
 
 from conftest import random_stable_system
@@ -199,6 +199,79 @@ class TestSweep:
         assert lines[2].startswith("clean,")
         assert (out / "clean_run.csv").exists()
 
+    def test_identical_streams_share_one_run(self, tmp_path, dataset_csv,
+                                             monkeypatch):
+        # Delays of at most 1 ms never move a 30 Hz sample, so the three
+        # zero-loss scenarios deliver the clean stream; 5% loss does not.
+        scenarios = [
+            {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0, "label": "still"},
+            {"nd_ms": 1.0, "nj_ms": 0.1, "np_pct": 5.0, "label": "lossy"},
+            {"nd_ms": 1.0, "nj_ms": 0.1, "np_pct": 0.0, "label": "short"},
+            {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0, "label": "again"},
+        ]
+        sc_path = tmp_path / "scen.json"
+        sc_path.write_text(json.dumps(scenarios))
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        estimate = estimator.estimate_noise_empirical
+        calls = []
+
+        def counting(model, inputs, outputs, **kwargs):
+            calls.append(outputs)
+            return estimate(model, inputs, outputs, **kwargs)
+
+        monkeypatch.setattr(estimator, "estimate_noise_empirical", counting)
+        rc = main(["sweep", "--dataset", str(dataset_csv), "--out", str(out),
+                   "--model", str(out / "model.json"), "--seed", "4",
+                   "--scenarios", str(sc_path)])
+        assert rc == 0
+        assert len(calls) == 2
+
+        runs = [(out / f"{t}_run.csv").read_bytes()
+                for t in ("still", "short", "again")]
+        assert runs[0] == runs[1] == runs[2]
+        assert (out / "lossy_run.csv").read_bytes() != runs[0]
+        docs = {sc["label"]: json.loads(
+            (out / f"{sc['label']}_report.json").read_text())
+            for sc in scenarios}
+        assert [docs[t]["same_stream_as"] for t in docs] == [
+            None, None, "still", "still"]
+        assert docs["still"]["rows_changed"] == docs["still"]["lost"] == 0
+        assert docs["lossy"]["lost"] > 0
+        assert docs["lossy"]["rows_changed"] > 0
+        assert docs["again"]["scenario"]["label"] == "again"
+
+        model = sysid.StateSpaceModel.load(out / "model.json")
+        norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
+                                   params=model.norm_params)
+        config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=4)
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[2:]
+        assert len(rows) == len(scenarios)
+        for row, scenario in zip(rows, config.resolve_scenarios()):
+            _, _, _, report = pipeline.run_scenario(
+                model, (1e-4, 1e-4, 1), norm.inputs, norm.outputs, scenario,
+                norm.dt, metrics.DEFAULT_METRIC, 10 * model.order)
+            assert row.split(",")[4:-1] == (
+                [f"{a:.4f}" for a in report.accuracy_pct]
+                + [f"{r:.6f}" for r in report.rmse])
+
+    def test_repeated_label_is_config_error(self, tmp_path, dataset_csv,
+                                            capsys):
+        # "scenario_2" is also the default tag of the unlabelled second
+        # scenario; both would write scenario_2_run.csv
+        clean = {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0}
+        sc_path = tmp_path / "scen.json"
+        sc_path.write_text(json.dumps([{**clean, "label": "scenario_2"},
+                                       clean]))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--dataset", str(dataset_csv), "--out", str(out),
+                   "--block-rows", "10", "--scenarios", str(sc_path)])
+        assert rc == 1
+        assert "scenario labels repeat: ['scenario_2']" in \
+            capsys.readouterr().err
+        assert not list(out.glob("*_run.csv"))
+
     def test_empty_scenario_list(self, tmp_path, dataset_csv):
         sc_path = tmp_path / "scen.json"
         sc_path.write_text("[]")
@@ -274,8 +347,15 @@ class TestErrors:
         json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                      "delay_range_ms": 5}]),
         json.dumps([3]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                     "delay_range_ms": [1, 2, 3]}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                     "delay_range_ms": [5, 1]}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                     "delay_range_ms": [-1, 2]}]),
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
-            "scalar_delay_range", "not_object"])
+            "scalar_delay_range", "not_object", "three_delay_bounds",
+            "reversed_delay_range", "negative_delay_range"])
     def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
                                                   capsys, text):
         scen = tmp_path / "scen.json"
@@ -285,6 +365,31 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"block_rows": "x"}, "config key 'block_rows' must be int"),
+        ({"energy": "high"}, "config key 'energy' must be float"),
+        ({"master_seed": 1.5}, "config key 'master_seed' must be int"),
+        ({"block_rows": True}, "config key 'block_rows' must be int"),
+        ({"scenarios": "all"}, "scenarios must be 'suite' or a list"),
+        ([], "config must be a JSON object"),
+    ], ids=["str_int", "str_float", "float_int", "bool_int", "bad_suite",
+            "not_object"])
+    def test_bad_config_value_is_config_error(self, tmp_path, dataset_csv,
+                                              capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["identify", "--config", str(cfg), "--dataset",
+                   str(dataset_csv), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_value_types_accepted(self, tmp_path, dataset_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"energy": 1, "fixed_order": None,
+                                   "block_rows": 10, "scenarios": "suite"}))
+        assert main(["identify", "--config", str(cfg), "--dataset",
+                     str(dataset_csv), "--out", str(tmp_path / "o")]) == 0
 
     def test_degenerate_data_is_numerical_error(self, tmp_path):
         n = 200

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,33 @@ class TestLoaderDialect:
     def test_bad_body_is_data_error(self, tmp_path, body):
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + body)
         with pytest.raises(DataError, match=str(p.name)):
+            dataio.load_dataset(p)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("x", "non-numeric value 'x' at row 2, column 2 (y:b)"),
+        ("1_0", "non-numeric value '1_0' at row 2, column 2 (y:b)"),
+        ("nan", "non-finite value at row 2, column 2 (y:b)"),
+    ], ids=["non_numeric", "digit_separator", "non_finite"])
+    def test_bad_cell_messages_agree(self, tmp_path, cell, message):
+        # the blank line is not a data row
+        p = write_csv(tmp_path / "d.csv", f"t,u:a,y:b\n0,1,2\n\n1,3,{cell}\n")
+        with pytest.raises(DataError, match=re.escape(message)):
+            dataio.load_dataset(p)
+
+    @pytest.mark.parametrize("bad", [b"1,\xff\n", b"1," + b"x" * 200_000],
+                             ids=["non_utf8_byte", "overlong_field"])
+    def test_unreadable_cell_past_first_chunk_is_data_error(self, tmp_path,
+                                                             bad):
+        # the row scan cannot read these cells either; numpy's message stays
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"u:a,y:b\n" + b"1,2\n" * 4096 + bad)
+        with pytest.raises(DataError, match=str(p.name)):
+            dataio.load_dataset(p)
+
+    def test_ragged_row_is_numbered(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\n\n3,4,5\n6,7\n")
+        with pytest.raises(DataError, match="data row 2 has 3 fields, "
+                                            "expected 2"):
             dataio.load_dataset(p)
 
     def test_header_only_names_row_count(self, tmp_path, recwarn):
