@@ -232,11 +232,6 @@ def normalize(
     return scaled, params
 
 
-def denormalize(series: np.ndarray, scaling: ChannelScaling) -> np.ndarray:
-    """Inverse of the min-max transform: x = x' * (max - min) + min."""
-    return scaling.invert(series)
-
-
 def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> HankelBlock:
     """Stack ``block_rows`` time-shifted windows of ``series`` into a block
     Hankel matrix with ``columns`` columns.

@@ -120,6 +120,11 @@ def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
                   indent=2)
 
 
+def _finite_or_none(x: float | None) -> float | None:
+    """JSON has no inf/nan: write a non-finite value as null."""
+    return x if x is not None and np.isfinite(x) else None
+
+
 def _load_and_normalize(config: ExperimentConfig):
     if not config.dataset:
         raise ConfigError("config has no dataset path")
@@ -171,6 +176,9 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "unstable": model.is_unstable,
         "warnings": list(decomp.warnings),
         "n_singular_values": int(ss.size),
+        "lq_method": decomp.lq_method,
+        "lq_cond_est": _finite_or_none(decomp.lq_cond_est),
+        "cond_r11": _finite_or_none(decomp.cond_r11),
     }
     log_path = out / "identify_log.json"
     _write_json(log_path, config, log)

@@ -1,11 +1,12 @@
 """MOESP subspace identification of discrete-time state-space models.
 
 The pipeline: stack input and output block Hankel matrices, take the
-lower-triangular factor of an LQ decomposition (computed as QR of the
-transpose), SVD the output-residual block to expose the system order,
-then recover C and A from the extended observability matrix and B, D
-from a least-squares system built out of the discarded left singular
-vectors and the L-factor partitions.
+lower-triangular factor of an LQ decomposition (CholeskyQR2 on the Gram
+matrix of the two blocks, or a Householder QR of the transpose when the
+stack is too ill-conditioned for it), SVD the output-residual block to
+expose the system order, then recover C and A from the extended
+observability matrix and B, D from a least-squares system built out of
+the discarded left singular vectors and the L-factor partitions.
 """
 
 from __future__ import annotations
@@ -114,7 +115,10 @@ class SubspaceDecomposition:
 
     R11, R21, R22 partition the lower-triangular L-factor; U1 holds the
     left singular vectors of R22 and singular_values its spectrum in
-    descending order.
+    descending order.  lq_method names the path that computed L
+    ("cholesky_qr2" or "householder"), lq_cond_est is the 1-norm
+    condition estimate that chose it (None when a Cholesky step failed)
+    and cond_r11 the 2-norm condition number of R11.
     """
 
     singular_values: np.ndarray
@@ -125,6 +129,9 @@ class SubspaceDecomposition:
     block_rows: int
     m_in: int
     m_out: int
+    lq_method: str
+    lq_cond_est: float | None
+    cond_r11: float
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -133,9 +140,52 @@ class SubspaceDecomposition:
             raise NumericalError("singular values must be descending and >= 0")
 
 
+#: CholeskyQR2 matches Householder accuracy while the stack's condition
+#: number stays below about 1/sqrt(eps); past that the Gram matrix loses
+#: its positive definiteness to rounding (Yamamoto, Nakatsukasa,
+#: Yanagisawa & Fukaya, ETNA 44, 2015).
+_CHOLQR_MAX_COND = 1.0 / np.sqrt(np.finfo(float).eps)
+
+
+def _lq_factor(U: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, str, float | None]:
+    """Lower-triangular L with diag(L) >= 0 such that [U; Y] = L Q, Q with
+    orthonormal rows; also the path taken and its condition estimate.
+
+    CholeskyQR2 factors the Gram matrix built block by block from U and Y,
+    then repeats the factorization on Q = L1^-1 [U; Y].  When a Cholesky
+    step fails or the estimate ||L1||_1 ||L1^-1||_1 exceeds
+    _CHOLQR_MAX_COND (noise-free or rank-deficient data), a Householder
+    QR of the stacked transpose takes over, with its rows signed so both
+    paths return the same factor.
+    """
+    du = U.shape[0]
+    G = np.empty((du + Y.shape[0],) * 2)
+    G[:du, :du] = U @ U.T
+    G[du:, :du] = Y @ U.T
+    G[:du, du:] = G[du:, :du].T
+    G[du:, du:] = Y @ Y.T
+    try:
+        L1 = np.linalg.cholesky(G)
+        W = np.linalg.inv(L1)
+        cond_est = float(np.linalg.norm(L1, 1) * np.linalg.norm(W, 1))
+        if cond_est <= _CHOLQR_MAX_COND:
+            # W is lower triangular: W [U; Y] = [W11 U; W21 U + W22 Y].
+            Q = np.empty((G.shape[0], U.shape[1]))
+            np.matmul(W[:du, :du], U, out=Q[:du])
+            np.matmul(W[du:, :du], U, out=Q[du:])
+            Q[du:] += W[du:, du:] @ Y
+            return L1 @ np.linalg.cholesky(Q @ Q.T), "cholesky_qr2", cond_est
+    except np.linalg.LinAlgError:
+        cond_est = None
+    R = np.triu(np.linalg.qr(np.vstack([U, Y]).T, mode="r"))
+    R[np.diag(R) < 0] *= -1.0
+    return R.T, "householder", cond_est
+
+
 def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
                     block_rows: int = 20) -> SubspaceDecomposition:
-    """Form the input/output block Hankel stack and factor it.
+    """Form the input/output block Hankel stack, take its LQ factor (see
+    _lq_factor) and SVD the output-residual block R22.
 
     inputs is (N, m_in), outputs (N, m_out), both normalized.  Needs at
     least 2 * block_rows * max(m_in, m_out) + 1 samples so the LQ step is
@@ -159,10 +209,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     U = build_hankel(inputs, d, cols).data
     Y = build_hankel(outputs, d, cols).data
 
-    # LQ of [U; Y]: lower-triangular factor via QR of the transpose.
-    stacked = np.vstack([U, Y])
-    R = np.linalg.qr(stacked.T, mode="r")
-    L = np.triu(R).T
+    L, lq_method, lq_cond_est = _lq_factor(U, Y)
     du = d * m_in
     R11 = L[:du, :du]
     R21 = L[du:, :du]
@@ -171,7 +218,9 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     U1, ss, _ = np.linalg.svd(R22)
 
     warns = []
+    cond_r11 = np.inf  # no input block: realize has no R11 to invert
     if du > 0:
+        cond_r11 = float(np.linalg.cond(R11))
         diag = np.abs(np.diag(R11))
         scale = diag.max() if diag.size else 0.0
         if scale == 0.0 or np.any(diag < 1e-12 * scale):
@@ -179,7 +228,9 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
                          "(inputs not persistently exciting)")
     return SubspaceDecomposition(
         singular_values=ss, R11=R11, R21=R21, R22=R22, U1=U1,
-        block_rows=d, m_in=m_in, m_out=m_out, warnings=tuple(warns))
+        block_rows=d, m_in=m_in, m_out=m_out, lq_method=lq_method,
+        lq_cond_est=lq_cond_est, cond_r11=cond_r11,
+        warnings=tuple(warns))
 
 
 def select_order(singular_values: np.ndarray, criterion: str = "energy",
@@ -246,7 +297,7 @@ def realize(decomp: SubspaceDecomposition, order: int,
 
     # B, D from L1 = U1[:, n:].T and M1 = L1 R21 R11^-1.
     L1 = decomp.U1[:, n:].T
-    r11_cond = np.linalg.cond(decomp.R11)
+    r11_cond = decomp.cond_r11
     if not np.isfinite(r11_cond) or r11_cond > cond_limit:
         raise NumericalError(
             f"singular R11 (insufficient input excitation, cond={r11_cond:.3e})")

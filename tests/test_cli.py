@@ -49,6 +49,30 @@ class TestIdentify:
         assert model.order == 3
         assert model.norm_params is not None
 
+    def test_log_records_lq_health(self, tmp_path, dataset_csv):
+        # noise-free data: the Gram matrix is too ill-conditioned for
+        # CholeskyQR2 and the Householder QR runs
+        noisy = tmp_path / "noisy.csv"
+        ds = dataio.load_dataset(dataset_csv)
+        rng = np.random.default_rng(3)
+        dataio.save_dataset(dataio.TrajectoryDataset(
+            inputs=ds.inputs, dt=ds.dt,
+            outputs=ds.outputs + 0.1 * rng.standard_normal(ds.outputs.shape)),
+            noisy)
+        for path, method in ((dataset_csv, "householder"),
+                             (noisy, "cholesky_qr2")):
+            out = tmp_path / method
+            assert main(["identify", "--dataset", str(path),
+                         "--out", str(out), "--block-rows", "10"]) == 0
+            log = json.loads((out / "identify_log.json").read_text())
+            assert log["lq_method"] == method
+            assert log["cond_r11"] >= 1.0
+            cond_est = log["lq_cond_est"]
+            if method == "cholesky_qr2":
+                assert 1.0 <= cond_est <= sysid._CHOLQR_MAX_COND
+            else:
+                assert cond_est is None or cond_est > sysid._CHOLQR_MAX_COND
+
     def test_forced_order(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
         rc = main(["identify", "--dataset", str(dataset_csv),

@@ -262,20 +262,20 @@ class TestDenormalize:
         sc = dataio.ChannelScaling(role="output", names=("a",),
                                    mins=np.array([0.0]), maxs=np.array([10.0]))
         np.testing.assert_allclose(
-            dataio.denormalize(np.array([[0.0], [0.5], [1.0]]), sc).ravel(),
+            sc.invert(np.array([[0.0], [0.5], [1.0]])).ravel(),
             [0, 5, 10])
 
     def test_symmetric_range(self):
         sc = dataio.ChannelScaling(role="output", names=("a",),
                                    mins=np.array([-2.0]), maxs=np.array([2.0]))
         np.testing.assert_allclose(
-            dataio.denormalize(np.array([[0.25]]), sc), [[-1.0]])
+            sc.invert(np.array([[0.25]])), [[-1.0]])
 
     def test_channel_mismatch(self):
         sc = dataio.ChannelScaling(role="output", names=("a",),
                                    mins=np.array([0.0]), maxs=np.array([1.0]))
         with pytest.raises(DataError):
-            dataio.denormalize(np.zeros((3, 2)), sc)
+            sc.invert(np.zeros((3, 2)))
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (7, 3),
@@ -283,7 +283,7 @@ class TestDenormalize:
     def test_roundtrip_property(self, x):
         ds = dataio.TrajectoryDataset(inputs=x, outputs=x)
         norm, params = dataio.normalize(ds)
-        back = dataio.denormalize(norm.outputs, params.outputs)
+        back = params.outputs.invert(norm.outputs)
         nonconst = ~params.outputs.constant
         # error scales with the channel range, not the individual value
         spans = (params.outputs.maxs - params.outputs.mins)[nonconst]

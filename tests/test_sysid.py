@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from telekf import sysid
+from telekf.dataio import build_hankel
 from telekf.errors import DataError, NumericalError
 
 from conftest import random_stable_system
@@ -39,6 +40,78 @@ class TestDecompose:
         with pytest.raises(DataError, match="samples"):
             sysid.moesp_decompose(rng.standard_normal((30, 1)),
                                   rng.standard_normal((30, 1)), block_rows=20)
+
+
+def noisy_hankels(rng, n_samples, m_in, m_out, d, noise=0.1):
+    """Input and output block Hankel matrices of a random 4-state system
+    driven by white input, with white output noise of std ``noise``."""
+    true = random_stable_system(rng, 4, m_in, m_out)
+    u = rng.standard_normal((n_samples, m_in))
+    y = sysid.simulate(true, u) + noise * rng.standard_normal((n_samples, m_out))
+    cols = n_samples - d + 1
+    return build_hankel(u, d, cols).data, build_hankel(y, d, cols).data
+
+
+def householder_lq(U, Y):
+    """Reference L: Householder QR of the stacked transpose, rows signed so
+    that diag(R) >= 0."""
+    R = np.triu(np.linalg.qr(np.vstack([U, Y]).T, mode="r"))
+    R[np.diag(R) < 0] *= -1.0
+    return R.T
+
+
+class TestLQFactor:
+    @pytest.mark.parametrize("n_samples, m_in, m_out, d",
+                             [(1240, 3, 3, 20), (2000, 1, 2, 8)])
+    def test_noisy_data_takes_cholesky_qr2(self, rng, n_samples, m_in, m_out, d):
+        U, Y = noisy_hankels(rng, n_samples, m_in, m_out, d)
+        L, method, cond_est = sysid._lq_factor(U, Y)
+        assert method == "cholesky_qr2"
+        assert cond_est <= sysid._CHOLQR_MAX_COND
+        assert np.all(np.triu(L, 1) == 0)
+        assert np.all(np.diag(L) >= 0)
+        ref = householder_lq(U, Y)
+        assert np.abs(L - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_noise_free_data_takes_householder(self, rng):
+        u = rng.standard_normal((2000, 1))
+        y = sysid.simulate(two_state_system(), u)
+        cols = 2000 - 10 + 1
+        U, Y = build_hankel(u, 10, cols).data, build_hankel(y, 10, cols).data
+        L, method, _ = sysid._lq_factor(U, Y)
+        assert method == "householder"
+        np.testing.assert_array_equal(L, householder_lq(U, Y))
+        assert sysid.moesp_decompose(u, y, 10).lq_method == "householder"
+
+    def test_singular_values_match_householder_over_noise_sweep(self, rng):
+        true = random_stable_system(rng, 4, 3, 3)
+        u = rng.standard_normal((1240, 3))
+        y0 = sysid.simulate(true, u)
+        e = rng.standard_normal(y0.shape)
+        cols = 1240 - 20 + 1
+        U = build_hankel(u, 20, cols).data
+        methods = set()
+        for noise in 10.0 ** -np.arange(1, 8):
+            y = y0 + noise * e
+            dec = sysid.moesp_decompose(u, y, block_rows=20)
+            methods.add(dec.lq_method)
+            ref = householder_lq(U, build_hankel(y, 20, cols).data)
+            ss = np.linalg.svd(ref[60:, 60:], compute_uv=False)
+            # every singular value to 1e-10 of itself, the small noise-floor
+            # ones included
+            np.testing.assert_allclose(dec.singular_values, ss, rtol=1e-10,
+                                       err_msg=f"noise {noise:g}, {dec.lq_method}")
+        # the sweep crosses the limit: both paths run
+        assert methods == {"cholesky_qr2", "householder"}
+
+    def test_decomposition_records_condition(self, rng):
+        u = rng.standard_normal((1240, 3))
+        y = (sysid.simulate(random_stable_system(rng, 4, 3, 3), u)
+             + 0.1 * rng.standard_normal((1240, 3)))
+        dec = sysid.moesp_decompose(u, y, block_rows=20)
+        assert dec.lq_method == "cholesky_qr2"
+        assert 1.0 <= dec.lq_cond_est <= sysid._CHOLQR_MAX_COND
+        assert dec.cond_r11 == pytest.approx(np.linalg.cond(dec.R11), rel=1e-12)
 
 
 class TestSelectOrder:
