@@ -4,9 +4,11 @@ bootstrap of the process and measurement noise covariances from residuals.
 The measurement update applies each output channel as a scalar update
 against the matching diagonal entry of R (off-diagonal R is ignored); for
 diagonal R this equals the joint vector update.  run_filter computes the
-data-independent gains first, freezes them once the covariance settles,
-and then runs a lean affine pass over the states.  kf_predict/kf_update
-are the single-step form; kf_update can also do the joint update.
+data-independent gains first and freezes them once the covariance
+settles; it then steps the states one sample at a time up to the freeze
+and covers the time-invariant rest in one blocked affine pass
+(sysid._affine_pass).  kf_predict/kf_update are the single-step form;
+kf_update can also do the joint update.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .dataio import JsonFile
 from .errors import DataError, NumericalError
 from .netsim import ImpairedStream
-from .sysid import StateSpaceModel
+from .sysid import StateSpaceModel, _affine_pass
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -231,8 +233,12 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     gains depend only on (A, C, Q, diag R, P0), so they are computed first
     and frozen once the covariance stops changing (gain_converged_step);
     the state pass is then x_k = M_k A x_{k-1} + M_k B u_{k-1} + G_k z_k
-    with M_k = I - G_k C.  A non-positive innovation variance raises
-    NumericalError naming the sample.
+    with M_k = I - G_k C.  It steps once per sample up to
+    gain_converged_step; past it M and G are constant, and one blocked
+    affine pass (sysid._affine_pass: one Python step per _BLOCK samples,
+    the block halved while a power of M A overflows) gives the rest.  A
+    non-positive innovation variance raises NumericalError naming the
+    sample.
     """
     if isinstance(measurements, ImpairedStream):
         z_seq = measurements.observed
@@ -254,21 +260,21 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     G, frozen_at = _cached_schedule(key, n_samples)
     n_sched = G.shape[0]
     M = np.eye(n) - G @ C
-    F = list(M @ A)
     Bu = inputs[:-1] @ B.T
-    # Rows 1.. first hold h_k = M_k B u_{k-1} + G_k z_k; the pass then adds
+    # Rows 1.. first hold h_k = M_k B u_{k-1} + G_k z_k; the loop then adds
     # F_k x_{k-1}, in order, to turn each into x_k.
-    states = np.empty((n_samples, n))
+    states = np.empty((n_sched + 1, n))
     states[0] = x
-    h = states[1:]
-    h[:n_sched] = (np.einsum("kij,kj->ki", M, Bu[:n_sched])
-                   + np.einsum("kij,kj->ki", G, z_seq[1:n_sched + 1]))
-    if frozen_at is not None:  # the last gain holds for the rest
-        h[n_sched:] = Bu[n_sched:] @ M[-1].T + z_seq[n_sched + 1:] @ G[-1].T
-        F += [F[-1]] * (n_samples - 1 - n_sched)
+    states[1:] = (np.einsum("kij,kj->ki", M, Bu[:n_sched])
+                  + np.einsum("kij,kj->ki", G, z_seq[1:n_sched + 1]))
     rows = list(states)
-    for F_k, prev, row in zip(F, rows, rows[1:]):
+    for F_k, prev, row in zip(M @ A, rows, rows[1:]):
         row += np.dot(F_k, prev)
+    if frozen_at is not None:  # the last gain holds for the rest
+        tail = _affine_pass(M[-1] @ A, states[-1],
+                            Bu[n_sched:] @ M[-1].T
+                            + z_seq[n_sched + 1:] @ G[-1].T)
+        states = np.concatenate([states[:-1], tail])
 
     innovations = np.empty((n_samples, model.m_out))
     innovations[0] = z_seq[0] - C @ states[0]
@@ -286,7 +292,8 @@ def estimate_noise_empirical(
 
     Starting from Q = eps_q I, R = eps_r I, run the filter, then form
     measurement residuals r_y(k) = y(k) - y_hat(k) and process residuals
-    r_x(k) = x_hat(k) - A x_hat(k-1) - B u(k), and take
+    r_x(k) = x_hat(k) - A x_hat(k-1) - B u(k-1), the prediction step's
+    input term, and take
     R = (1/N) sum r_y r_y^T, Q = (1/(N-1)) sum r_x r_x^T.  Additional
     iterations re-run the filter with the empirical values.
     """
@@ -304,8 +311,8 @@ def estimate_noise_empirical(
     for _ in range(iterations):
         run = run_filter(model, noise, inputs, outputs, x0=x0, P0=P0)
         r_y = outputs - run.estimates
-        # r_x(k) = x(k) - A x(k-1) - B u(k), k = 2..N
-        r_x = run.states[1:] - run.states[:-1] @ A.T - inputs[1:] @ B.T
+        # r_x(k) = x(k) - A x(k-1) - B u(k-1), k = 2..N
+        r_x = run.states[1:] - run.states[:-1] @ A.T - inputs[:-1] @ B.T
         R_emp = (r_y.T @ r_y) / n_samples
         Q_emp = (r_x.T @ r_x) / (n_samples - 1)
         noise = NoiseModel(Q=_psd_clip(Q_emp), R=_psd_clip(R_emp),

@@ -308,12 +308,17 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 stamp=_stamp(config))
         else:
             shutil.copyfile(out / f"{same_as}_run.csv", run_path)
+        delivered = ~stream.loss_mask
+        delays = (np.flatnonzero(delivered) + 1
+                  - stream.source_index[delivered])
         _write_json(out / f"{tag}_report.json", config, report.to_dict(),
                     noise=noise.to_dict(), gain_converged_step=converged,
                     rows_changed=int(np.any(stream.observed != norm.outputs,
                                             axis=1).sum()),
                     lost=int(stream.loss_mask.sum()),
-                    same_stream_as=same_as)
+                    same_stream_as=same_as,
+                    mean_delay_samples=(float(delays.mean()) if delays.size
+                                        else None))
 
     summary_path = out / "sweep_summary.csv"
     with open(summary_path, "w", newline="") as f:

@@ -7,6 +7,8 @@ stack is too ill-conditioned for it), SVD the output-residual block to
 expose the system order, then recover C and A from the extended
 observability matrix and B, D from a least-squares system built out of
 the discarded left singular vectors and the L-factor partitions.
+simulate runs a model open loop through _affine_pass, the blocked affine
+recurrence that the Kalman filter's frozen-gain pass also uses.
 """
 
 from __future__ import annotations
@@ -345,20 +347,67 @@ def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
     return model, decomp, order
 
 
+#: Samples per block in _affine_pass.  Its Python steps fall as 1/L while
+#: the Toeplitz matmul's flops grow as L n^2 per sample; for orders 2 to 6
+#: over 10,000 to 36,000 samples, 32 timed at or near the fastest of
+#: L = 8 .. 128.
+_BLOCK = 32
+
+
+def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """States x_0 = x0, x_k = F x_{k-1} + h_{k-1} for k = 1..len(h).
+
+    Works on blocks of L = _BLOCK samples.  With the powers F^0..F^L, one
+    matmul by the block lower-triangular Toeplitz map T (block (i, j) is
+    F^(i-j) for i >= j) gives each block's response from a zero start; a
+    loop over the block boundaries only carries the state across,
+    s_b = F^L s_{b-1} + (last row of block b-1's response); one matmul adds
+    F^i s_b back in.  No power above F^L is formed, so this is not a
+    doubling scan.  L is halved until F^0..F^L are all finite, so that a
+    growing mode with zero state never meets inf * 0; at L = 1 this is
+    the plain step loop.
+    """
+    n, m = F.shape[0], h.shape[0]
+    powers = np.empty((_BLOCK + 1, n, n))
+    powers[0] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(_BLOCK):
+            np.matmul(F, powers[i], out=powers[i + 1])
+    L = _BLOCK
+    while L > 1 and not np.all(np.isfinite(powers[:L + 1])):
+        L //= 2
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    T = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
+    T = T.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+
+    blocks = -(-m // L)
+    out = np.zeros((blocks * L + 1, n))
+    out[0] = x0
+    out[1:m + 1] = h
+    rows = out[1:].reshape(blocks, L * n)
+    zero_start = rows @ T.T
+    starts = np.empty((blocks, n))
+    s, FL = out[0], powers[L]
+    for b, end in enumerate(zero_start[:, -n:]):
+        starts[b] = s
+        s = FL @ s + end
+    # row b of starts @ [F^1' .. F^L'] is block b's free response
+    np.matmul(starts, powers[1:L + 1].transpose(2, 0, 1).reshape(n, L * n),
+              out=rows)
+    rows += zero_start
+    return out[:m + 1]
+
+
 def simulate(model: StateSpaceModel, inputs: np.ndarray,
              x0: np.ndarray | None = None) -> np.ndarray:
     """Run the model open loop: y_k = C x_k + D u_k with
-    x_{k+1} = A x_k + B u_k, starting from x0 (default zero)."""
+    x_{k+1} = A x_k + B u_k, starting from x0 (default zero).  The states
+    come from one blocked affine pass (_affine_pass)."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.shape[1] != model.m_in:
         raise DataError(
             f"input has {inputs.shape[1]} channels, model expects {model.m_in}")
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    A = model.A
-    bu = inputs @ model.B.T
-    xs = np.empty((inputs.shape[0], n))
-    for k in range(inputs.shape[0]):
-        xs[k] = x
-        x = A @ x + bu[k]
+    xs = _affine_pass(model.A, x, inputs[:-1] @ model.B.T)
     return xs @ model.C.T + inputs @ model.D.T

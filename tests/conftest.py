@@ -29,12 +29,14 @@ def simulate_noisy(model, inputs, Q, R, rng):
     N = inputs.shape[0]
     w = rng.multivariate_normal(np.zeros(n), Q, size=N)
     v = rng.multivariate_normal(np.zeros(m_out), R, size=N)
-    x = np.zeros(n)
-    y = np.empty((N, m_out))
-    for k in range(N):
-        y[k] = model.C @ x + model.D @ inputs[k] + v[k]
-        x = model.A @ x + model.B @ inputs[k] + w[k]
-    return y
+    drive = inputs @ model.B.T + w
+    # Rows 1.. first hold drive[k-1]; the loop adds A x_{k-1} to each.
+    xs = np.zeros((N, n))
+    xs[1:] = drive[:-1]
+    rows = list(xs)
+    for prev, row in zip(rows, rows[1:]):
+        row += model.A @ prev
+    return xs @ model.C.T + (inputs @ model.D.T + v)
 
 
 def surrogate_dataset(seed=5, n_samples=6000, dt=0.5e-3):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telekf import dataio, estimator, metrics, pipeline, sysid
+from telekf import dataio, estimator, metrics, netsim, pipeline, sysid
 from telekf.cli import main
 
 from conftest import random_stable_system
@@ -279,6 +279,41 @@ class TestSweep:
             assert row.split(",")[4:-1] == (
                 [f"{a:.4f}" for a in report.accuracy_pct]
                 + [f"{r:.6f}" for r in report.rmse])
+
+    def test_mean_delay_from_source_index(self, tmp_path, dataset_csv):
+        # 100 ms is 3 samples at 30 Hz; the clamp max(1, k - 3) makes rows
+        # 1..3 younger than that
+        scenarios = [
+            {"nd_ms": 100.0, "nj_ms": 0.0, "np_pct": 0.0, "label": "fixed"},
+            {"nd_ms": 150.0, "nj_ms": 40.0, "np_pct": 10.0,
+             "label": "rough"},
+        ]
+        sc_path = tmp_path / "scen.json"
+        sc_path.write_text(json.dumps(scenarios))
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        assert main(["sweep", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--model", str(out / "model.json"),
+                     "--seed", "5", "--scenarios", str(sc_path)]) == 0
+        model = sysid.StateSpaceModel.load(out / "model.json")
+        norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
+                                   params=model.norm_params)
+        config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=5)
+        delays = {}
+        for scenario in config.resolve_scenarios():
+            src = netsim.impair(norm.outputs, scenario, norm.dt).source_index
+            k = np.arange(1, src.size + 1)
+            delays[scenario.label] = (k - src)[src > 0]
+            doc = json.loads(
+                (out / f"{scenario.label}_report.json").read_text())
+            assert list(doc)[-1] == "mean_delay_samples"
+            assert doc["mean_delay_samples"] == pytest.approx(
+                delays[scenario.label].mean(), rel=1e-15)
+        assert delays["fixed"].size == norm.outputs.shape[0]
+        assert list(delays["fixed"][:3]) == [0, 1, 2]
+        assert np.all(delays["fixed"][3:] == 3)
+        assert delays["rough"].size < norm.outputs.shape[0]
 
     def test_repeated_label_is_config_error(self, tmp_path, dataset_csv,
                                             capsys):

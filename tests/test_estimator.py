@@ -278,9 +278,7 @@ class TestNoiseModel:
 
 class TestEmpiricalNoise:
     def test_zero_residuals_give_zero_covariances(self, rng):
-        # exact strictly proper model, noise-free data, constant input (the
-        # process-residual formula subtracts B u(k), so varying input would
-        # leak into Q)
+        # exact strictly proper model, noise-free data, constant input
         model = strictly_proper_system(rng, 2, 1, 2)
         u = np.full((2000, 1), 0.8)
         y = sysid.simulate(model, u)
@@ -289,6 +287,17 @@ class TestEmpiricalNoise:
         assert np.abs(nm.R).max() < 1e-10
         assert np.abs(nm.Q).max() < 1e-10
         assert nm.provenance == "empirical"
+
+    def test_zero_residuals_varying_input(self, rng):
+        # the process residual subtracts B u(k-1), the input the prediction
+        # step used, so exact noise-free data leave nothing for Q
+        model = strictly_proper_system(rng, 2, 1, 2)
+        u = rng.standard_normal((2000, 1))
+        y = sysid.simulate(model, u)
+        nm = estimator.estimate_noise_empirical(model, u, y,
+                                                eps_q=1e-12, eps_r=1e-12)
+        assert np.abs(nm.R).max() < 1e-10
+        assert np.abs(nm.Q).max() < 1e-10
 
     def test_recovers_measurement_covariance(self, rng):
         # known R*, negligible process noise, filter trusting the model:

@@ -197,6 +197,14 @@ class TestRealize:
             assert max(np.linalg.norm(a - b) for a, b in zip(mt, me)) / scale < 1e-6
 
 
+def step_loop(F, x0, h):
+    """Reference for _affine_pass: x_0 = x0, x_k = F x_{k-1} + h_{k-1}."""
+    xs = [np.asarray(x0, dtype=float)]
+    for h_k in h:
+        xs.append(F @ xs[-1] + h_k)
+    return np.array(xs)
+
+
 class TestSimulate:
     def test_pure_feedthrough(self, rng):
         m = sysid.StateSpaceModel(A=np.zeros((2, 2)), B=np.zeros((2, 3)),
@@ -222,6 +230,45 @@ class TestSimulate:
         m = two_state_system()
         with pytest.raises(DataError):
             sysid.simulate(m, rng.standard_normal((10, 2)))
+
+    def test_matches_step_loop(self, rng):
+        m = random_stable_system(rng, 4, 2, 3)
+        u = rng.standard_normal((500, 2))
+        x0 = rng.standard_normal(4)
+        x = step_loop(m.A, x0, u @ m.B.T)[:-1]
+        np.testing.assert_allclose(sysid.simulate(m, u, x0=x0),
+                                   x @ m.C.T + u @ m.D.T,
+                                   rtol=1e-12, atol=1e-12)
+
+
+class TestAffinePass:
+    @pytest.mark.parametrize("radius", [0.9, 1.05])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 1000])
+    def test_matches_step_loop(self, rng, n_steps, n, radius):
+        F = rng.standard_normal((n, n))
+        F *= radius / np.max(np.abs(np.linalg.eigvals(F)))
+        x0 = rng.standard_normal(n)
+        h = rng.standard_normal((n_steps, n))
+        ref = step_loop(F, x0, h)
+        got = sysid._affine_pass(F, x0, h)
+        assert got.shape == (n_steps + 1, n)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_overflowing_power_halves_the_block(self, rng):
+        # F^32 overflows, and the second mode has zero state and input:
+        # a block of 32 would meet inf * 0 there
+        F = np.diag([0.5, 1e12])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(
+                np.linalg.matrix_power(F, sysid._BLOCK)).all()
+        h = np.column_stack([rng.standard_normal(100), np.zeros(100)])
+        got = sysid._affine_pass(F, np.array([1.0, 0.0]), h)
+        ref = step_loop(F, [1.0, 0.0], h)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[:, 1], 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestModelProperties:
