@@ -89,7 +89,7 @@ def config_from_args(args: argparse.Namespace) -> pipeline.ExperimentConfig:
         updates["master_seed"] = args.seed
     if getattr(args, "metric", None):
         updates["metric_def"] = args.metric
-    if getattr(args, "fixed_order", None):
+    if getattr(args, "fixed_order", None) is not None:
         updates["order_criterion"] = "fixed"
     if getattr(args, "scenarios_file", None):
         try:

@@ -96,8 +96,8 @@ class FilterState:
 
 @dataclass(frozen=True)
 class EstimationRun:
-    """Filter trajectory: per-step output estimates C x_hat, innovations
-    z - C x_prior, and the posterior state sequence.
+    """Filter trajectory: per-step output estimates C x_hat + D u,
+    innovations z - D u - C x_prior, and the posterior state sequence.
 
     gain_converged_step is the sample index (0-based, as the run CSV's k
     column) from which the gain was held constant, or None when the
@@ -147,7 +147,8 @@ def _row_updates(P: np.ndarray, C: np.ndarray,
 
 def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
               noise: NoiseModel, sequential: bool = True) -> FilterState:
-    """Measurement update.
+    """Measurement update.  z is the measurement with the feedthrough D u
+    already removed, as run_filter forms it.
 
     sequential=True applies each row of C as a scalar update against the
     matching diagonal entry of R (off-diagonal R is ignored on this path),
@@ -227,59 +228,63 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     """Run predict/update over the full stream.
 
     Sample 1 keeps the initial state (x0 = 0, P0 = I by default); from
-    sample 2 on, the filter predicts with the previous input and updates
-    against the observed (possibly impaired) measurement, one scalar
-    update per row of C against diag(R): off-diagonal R is ignored.  The
-    gains depend only on (A, C, Q, diag R, P0), so they are computed first
-    and frozen once the covariance stops changing (gain_converged_step);
-    the state pass is then x_k = M_k A x_{k-1} + M_k B u_{k-1} + G_k z_k
-    with M_k = I - G_k C.  It steps once per sample up to
-    gain_converged_step; past it M and G are constant, and one blocked
-    affine pass (sysid._affine_pass: one Python step per _BLOCK samples,
-    the block halved while a power of M A overflows) gives the rest.  A
-    non-positive innovation variance raises NumericalError naming the
-    sample.
+    sample 2 on, the filter predicts with B u(k-1) and updates against
+    z(k) - D u(k), both terms from model.input_terms and z the observed
+    (possibly impaired) measurement, one scalar update per row of C
+    against diag(R): off-diagonal R is ignored.  Estimates are C x + D u.
+    The gains depend only on (A, C, Q, diag R, P0), so they are computed
+    first and frozen once the covariance stops changing
+    (gain_converged_step); the state pass is then x_k = M_k A x_{k-1}
+    + M_k B u_{k-1} + G_k (z_k - D u_k) with M_k = I - G_k C, stepped once
+    per sample up to gain_converged_step; past it M and G are constant,
+    and one blocked affine pass (sysid._affine_pass: one Python step per
+    _BLOCK samples, the block halved while a power of M A overflows) gives
+    the rest.  A non-positive innovation variance raises NumericalError
+    naming the sample.
     """
     if isinstance(measurements, ImpairedStream):
         z_seq = measurements.observed
     else:
         z_seq = np.atleast_2d(np.asarray(measurements, dtype=float))
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n_samples = inputs.shape[0]
+    Bu, Du = model.input_terms(inputs)
+    n_samples = Du.shape[0]
     if z_seq.shape[0] != n_samples:
         raise DataError(
             f"inputs ({n_samples}) and measurements ({z_seq.shape[0]}) "
             f"have different lengths")
+    if z_seq.shape[1] != model.m_out:
+        raise DataError(f"measurement has {z_seq.shape[1]} channels, "
+                        f"model expects {model.m_out}")
+    z = z_seq - Du  # D does not enter the gains; the filter works on z - D u
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
     P0 = np.eye(n) if P0 is None else _symmetrize(np.atleast_2d(np.asarray(P0, dtype=float)))
-    A, B, C = model.A, model.B, model.C
+    A, C = model.A, model.C
 
     key = tuple((a.shape, a.tobytes())
                 for a in (A, C, noise.Q, np.diag(noise.R), P0))
     G, frozen_at = _cached_schedule(key, n_samples)
     n_sched = G.shape[0]
     M = np.eye(n) - G @ C
-    Bu = inputs[:-1] @ B.T
     # Rows 1.. first hold h_k = M_k B u_{k-1} + G_k z_k; the loop then adds
     # F_k x_{k-1}, in order, to turn each into x_k.
     states = np.empty((n_sched + 1, n))
     states[0] = x
     states[1:] = (np.einsum("kij,kj->ki", M, Bu[:n_sched])
-                  + np.einsum("kij,kj->ki", G, z_seq[1:n_sched + 1]))
+                  + np.einsum("kij,kj->ki", G, z[1:n_sched + 1]))
     rows = list(states)
     for F_k, prev, row in zip(M @ A, rows, rows[1:]):
         row += np.dot(F_k, prev)
     if frozen_at is not None:  # the last gain holds for the rest
         tail = _affine_pass(M[-1] @ A, states[-1],
                             Bu[n_sched:] @ M[-1].T
-                            + z_seq[n_sched + 1:] @ G[-1].T)
+                            + z[n_sched + 1:] @ G[-1].T)
         states = np.concatenate([states[:-1], tail])
 
     innovations = np.empty((n_samples, model.m_out))
-    innovations[0] = z_seq[0] - C @ states[0]
-    innovations[1:] = z_seq[1:] - (states[:-1] @ A.T + Bu) @ C.T
-    return EstimationRun(estimates=states @ C.T, innovations=innovations,
+    innovations[0] = z[0] - C @ states[0]
+    innovations[1:] = z[1:] - (states[:-1] @ A.T + Bu) @ C.T
+    return EstimationRun(estimates=states @ C.T + Du, innovations=innovations,
                          states=states, gain_converged_step=frozen_at)
 
 
@@ -291,28 +296,27 @@ def estimate_noise_empirical(
     """Bootstrap Q and R from filter residuals.
 
     Starting from Q = eps_q I, R = eps_r I, run the filter, then form
-    measurement residuals r_y(k) = y(k) - y_hat(k) and process residuals
-    r_x(k) = x_hat(k) - A x_hat(k-1) - B u(k-1), the prediction step's
-    input term, and take
+    measurement residuals r_y(k) = y(k) - y_hat(k), y_hat = C x_hat + D u,
+    and process residuals r_x(k) = x_hat(k) - A x_hat(k-1) - B u(k-1),
+    with the input terms the filter uses (model.input_terms), and take
     R = (1/N) sum r_y r_y^T, Q = (1/(N-1)) sum r_x r_x^T.  Additional
     iterations re-run the filter with the empirical values.
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")
     outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    Bu, _ = model.input_terms(inputs)
     n_samples = outputs.shape[0]
     if n_samples < 2:
         raise DataError("need at least 2 samples to estimate covariances")
 
     noise = NoiseModel.initial(model.order, model.m_out,
                                eps_q=eps_q, eps_r=eps_r)
-    A, B = model.A, model.B
     for _ in range(iterations):
         run = run_filter(model, noise, inputs, outputs, x0=x0, P0=P0)
         r_y = outputs - run.estimates
         # r_x(k) = x(k) - A x(k-1) - B u(k-1), k = 2..N
-        r_x = run.states[1:] - run.states[:-1] @ A.T - inputs[:-1] @ B.T
+        r_x = run.states[1:] - run.states[:-1] @ model.A.T - Bu
         R_emp = (r_y.T @ r_y) / n_samples
         Q_emp = (r_x.T @ r_x) / (n_samples - 1)
         noise = NoiseModel(Q=_psd_clip(Q_emp), R=_psd_clip(R_emp),

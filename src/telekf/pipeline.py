@@ -62,6 +62,18 @@ class ExperimentConfig:
         if self.scenarios != "suite" and not isinstance(self.scenarios, list):
             raise ConfigError(
                 f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
+        crit = self.order_criterion
+        valid = {"metric_def": self.metric_def in metrics.ACCURACY_METRICS,
+                 "order_criterion": crit in ("energy", "fixed", "threshold"),
+                 "fixed_order": crit != "fixed" or (self.fixed_order or 0) >= 1,
+                 "order_threshold": (crit != "threshold"
+                                     or self.order_threshold is not None),
+                 "eps_q": self.eps_q > 0, "eps_r": self.eps_r > 0,
+                 "bootstrap_iterations": self.bootstrap_iterations >= 1,
+                 "burn_in": self.burn_in is None or self.burn_in >= 0}
+        bad = [f"{k}={getattr(self, k)!r}" for k, ok in valid.items() if not ok]
+        if bad:
+            raise ConfigError(f"invalid config values: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -186,19 +198,25 @@ def cmd_identify(config: ExperimentConfig) -> dict:
             "paths": {"model": model_path, "scree": scree_path, "log": log_path}}
 
 
+def _in_model_units(path: str, model: sysid.StateSpaceModel,
+                    dt: float | None) -> dataio.TrajectoryDataset:
+    """Load a recording and normalize it with a saved model's parameters,
+    checking its channel counts against the model's."""
+    if model.norm_params is None:
+        raise DataError(f"model carries no normalization params for {path}")
+    raw = dataio.load_dataset(path, dt=dt)
+    if (raw.m_in, raw.m_out) != (model.m_in, model.m_out):
+        raise DataError(f"{path} is {raw.m_in}x{raw.m_out} channels, model "
+                        f"expects {model.m_in}x{model.m_out}")
+    return dataio.normalize(raw, params=model.norm_params)[0]
+
+
 def _get_model(config: ExperimentConfig):
     """Load a saved model or identify one inline; returns model and the
-    normalized identification dataset (None when a saved model is used
-    without a dataset)."""
+    normalized identification dataset (None when a saved model is used:
+    callers that need data load it with _in_model_units)."""
     if config.model_path:
-        model = sysid.StateSpaceModel.load(config.model_path)
-        if config.dataset:
-            raw = dataio.load_dataset(config.dataset, dt=config.dt)
-            if model.norm_params is None:
-                raise DataError("saved model carries no normalization params")
-            norm, _ = dataio.normalize(raw, params=model.norm_params)
-            return model, norm
-        return model, None
+        return sysid.StateSpaceModel.load(config.model_path), None
     _, norm, params = _load_and_normalize(config)
     model, _, _ = _identify(config, norm, params)
     return model, norm
@@ -248,7 +266,9 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     model, norm = _get_model(config)
     if norm is None:
-        raise ConfigError("sweep needs a dataset (for inputs and truth)")
+        if not config.dataset:
+            raise ConfigError("sweep needs a dataset (for inputs and truth)")
+        norm = _in_model_units(config.dataset, model, config.dt)
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
@@ -335,15 +355,7 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     model, _ = _get_model(config)
     if not config.validation_dataset:
         raise ConfigError("config has no validation_dataset path")
-    raw = dataio.load_dataset(config.validation_dataset, dt=config.dt)
-    if model.norm_params is None:
-        raise DataError("model carries no normalization params; cannot "
-                        "normalize validation data consistently")
-    if (raw.m_in != model.m_in or raw.m_out != model.m_out):
-        raise DataError(
-            f"validation dataset is {raw.m_in}x{raw.m_out} channels, model "
-            f"expects {model.m_in}x{model.m_out}")
-    norm, _ = dataio.normalize(raw, params=model.norm_params)
+    norm = _in_model_units(config.validation_dataset, model, config.dt)
 
     predicted = sysid.simulate(model, norm.inputs)
     report = metrics.report_run(predicted, norm.outputs,

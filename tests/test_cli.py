@@ -132,6 +132,26 @@ class TestValidate:
                      "--out", str(out)]) == 0
         assert calls == [400]
 
+    def test_saved_model_loads_only_validation_data(
+            self, tmp_path, dataset_csv, validation_csv, monkeypatch):
+        # with a saved model the identification dataset is not needed
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        load = dataio.load_dataset
+        paths = []
+
+        def counting(path, *args, **kwargs):
+            paths.append(str(path))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_dataset", counting)
+        assert main(["validate", "--model", str(out / "model.json"),
+                     "--dataset", str(dataset_csv),
+                     "--validation-dataset", str(validation_csv),
+                     "--out", str(out)]) == 0
+        assert paths == [str(validation_csv)]
+
     def test_missing_validation_dataset(self, tmp_path, dataset_csv):
         rc = main(["validate", "--dataset", str(dataset_csv),
                    "--out", str(tmp_path / "o"), "--block-rows", "10"])
@@ -392,6 +412,20 @@ class TestErrors:
         assert rc == 2
         assert "cannot load StateSpaceModel" in capsys.readouterr().err
 
+    def test_dataset_channels_must_match_saved_model(self, tmp_path,
+                                                     dataset_csv, capsys):
+        out = tmp_path / "o"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        ds = dataio.load_dataset(dataset_csv)
+        narrow = tmp_path / "narrow.csv"
+        dataio.save_dataset(dataio.TrajectoryDataset(
+            inputs=ds.inputs[:, :1], outputs=ds.outputs, dt=ds.dt), narrow)
+        rc = main(["sweep", "--dataset", str(narrow),
+                   "--model", str(out / "model.json"), "--out", str(out)])
+        assert rc == 2
+        assert "is 1x2 channels, model expects 2x2" in capsys.readouterr().err
+
     def test_missing_model_is_data_error(self, tmp_path, dataset_csv):
         rc = main(["sweep", "--dataset", str(dataset_csv),
                    "--model", str(tmp_path / "absent.json"),
@@ -442,6 +476,38 @@ class TestErrors:
                    str(dataset_csv), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, args, message", [
+        ({}, ["--metric", "bogus"], "metric_def='bogus'"),
+        ({"bootstrap_iterations": 0}, [], "bootstrap_iterations=0"),
+        ({"eps_q": -1}, [], "eps_q=-1"),
+        ({"eps_r": 0.0}, [], "eps_r=0.0"),
+        ({"order_criterion": "bogus"}, [], "order_criterion='bogus'"),
+        ({"order_criterion": "fixed"}, [], "fixed_order=None"),
+        ({"order_criterion": "threshold"}, [], "order_threshold=None"),
+        ({}, ["--burn-in", "-5"], "burn_in=-5"),
+        ({}, ["--order", "0"], "fixed_order=0"),
+    ], ids=["metric", "iterations", "eps_q", "eps_r", "criterion",
+            "fixed_without_order", "threshold_without_ratio", "burn_in",
+            "order_zero"])
+    def test_invalid_config_value_stops_sweep(self, tmp_path, dataset_csv,
+                                              capsys, doc, args, message):
+        # checked once, up front: no scenario runs and no summary is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main(["sweep", "--config", str(cfg), "--dataset",
+                   str(dataset_csv), "--block-rows", "10", "--out", str(out)]
+                  + args)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "sweep_summary.csv").exists()
+
+    def test_default_config_is_valid(self):
+        config = pipeline.ExperimentConfig()
+        assert config.metric_def in metrics.ACCURACY_METRICS
+        assert pipeline.ExperimentConfig(order_criterion="fixed",
+                                         fixed_order=2).fixed_order == 2
 
     def test_config_value_types_accepted(self, tmp_path, dataset_csv):
         cfg = tmp_path / "cfg.json"

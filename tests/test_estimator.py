@@ -129,6 +129,27 @@ class TestRunFilter:
         assert metrics.rmse(run.estimates[20:], y[20:]) < 1e-6
         assert err.max() < 1e-4
 
+    def test_feedthrough_noise_free(self, rng):
+        # D != 0: the filter updates against z - D u and reports C x + D u,
+        # so noise-free outputs are reproduced once the state has converged
+        model = random_stable_system(rng, 2, 1, 2)
+        assert np.abs(model.D).min() > 0
+        u = rng.standard_normal((600, 1))
+        y = sysid.simulate(model, u)
+        noise = estimator.NoiseModel(Q=np.zeros((2, 2)), R=1e-12 * np.eye(2))
+        run = estimator.run_filter(model, noise, u, y)
+        assert np.abs(run.estimates[20:] - y[20:]).max() < 1e-9
+
+    def test_width_errors_are_data_errors(self, rng):
+        model = random_stable_system(rng, 2, 1, 2)
+        noise = estimator.NoiseModel(Q=np.eye(2), R=np.eye(2))
+        with pytest.raises(DataError, match="channels"):
+            estimator.run_filter(model, noise, np.zeros((10, 2)),
+                                 np.zeros((10, 2)))
+        with pytest.raises(DataError, match="channels"):
+            estimator.run_filter(model, noise, np.zeros((10, 1)),
+                                 np.zeros((10, 3)))
+
     def test_total_loss_tracks_open_loop_prediction(self, rng):
         # all measurements lost: the stream holds clean[0] forever, so the
         # filter sees a constant; compare against an open-loop predictor fed
@@ -177,8 +198,9 @@ class TestRunFilter:
 
 def textbook_filter(model, Q, R, u, z, x0, P0):
     """Reference Kalman filter, one step at a time: predict with the
-    previous input, then the joint gain against diag(R)."""
-    A, B, C = model.A, model.B, model.C
+    previous input, then the joint gain against diag(R), updating against
+    the measurement less its feedthrough D u."""
+    A, B, C, D = model.A, model.B, model.C, model.D
     R_diag = np.diag(np.diag(R))
     x, P = np.asarray(x0, dtype=float), np.asarray(P0, dtype=float)
     states = [x]
@@ -186,7 +208,7 @@ def textbook_filter(model, Q, R, u, z, x0, P0):
         x = A @ x + B @ u[k - 1]
         P = A @ P @ A.T + Q
         K = P @ C.T @ np.linalg.inv(C @ P @ C.T + R_diag)
-        x = x + K @ (z[k] - C @ x)
+        x = x + K @ (z[k] - D @ u[k] - C @ x)
         P = (np.eye(x.size) - K @ C) @ P
         states.append(x)
     return np.array(states)
@@ -199,10 +221,12 @@ class TestGainSchedule:
         ref = textbook_filter(model, Q, R, u, z, x0, P0)
         assert np.all(np.isfinite(run.states))
         np.testing.assert_allclose(run.states, ref, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(run.estimates, ref @ model.C.T,
+        Du = u @ model.D.T
+        np.testing.assert_allclose(run.estimates, ref @ model.C.T + Du,
                                    rtol=0, atol=1e-9)
         prior = np.vstack([x0, ref[:-1] @ model.A.T + u[:-1] @ model.B.T])
-        np.testing.assert_allclose(run.innovations, z - prior @ model.C.T,
+        np.testing.assert_allclose(run.innovations,
+                                   z - prior @ model.C.T - Du,
                                    rtol=0, atol=1e-9)
         return run
 
@@ -277,6 +301,26 @@ class TestNoiseModel:
 
 
 class TestEmpiricalNoise:
+    def test_zero_residuals_with_feedthrough(self, rng):
+        # D != 0 and a varying input: r_y subtracts C x + D u, so exact
+        # noise-free data leave nothing for R or Q
+        model = random_stable_system(rng, 2, 1, 2)
+        u = rng.standard_normal((2000, 1))
+        y = sysid.simulate(model, u)
+        nm = estimator.estimate_noise_empirical(model, u, y,
+                                                eps_q=1e-12, eps_r=1e-12)
+        assert np.abs(nm.R).max() < 1e-10
+        assert np.abs(nm.Q).max() < 1e-10
+
+    def test_width_errors_are_data_errors(self, rng):
+        model = random_stable_system(rng, 2, 1, 2)
+        with pytest.raises(DataError, match="channels"):
+            estimator.estimate_noise_empirical(model, np.zeros((10, 3)),
+                                               np.zeros((10, 2)))
+        with pytest.raises(DataError, match="channels"):
+            estimator.estimate_noise_empirical(model, np.zeros((10, 1)),
+                                               np.zeros((10, 1)))
+
     def test_zero_residuals_give_zero_covariances(self, rng):
         # exact strictly proper model, noise-free data, constant input
         model = strictly_proper_system(rng, 2, 1, 2)

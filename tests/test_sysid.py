@@ -281,6 +281,19 @@ class TestModelProperties:
         for a, b in zip(m.markov_parameters(10), m2.markov_parameters(10)):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
+    def test_input_terms(self, rng):
+        m = random_stable_system(rng, 3, 2, 4)
+        u = rng.standard_normal((50, 2))
+        Bu, Du = m.input_terms(u)
+        assert Bu.shape == (49, 3) and Du.shape == (50, 4)
+        # row k-1 of Bu is B u_{k-1}, the drive of x_k: the last input
+        # drives no state in the run
+        for k in (1, 25, 49):
+            np.testing.assert_allclose(Bu[k - 1], m.B @ u[k - 1], atol=1e-12)
+        np.testing.assert_allclose(Du[49], m.D @ u[49], atol=1e-12)
+        with pytest.raises(DataError, match="input has 3 channels"):
+            m.input_terms(np.zeros((50, 3)))
+
     def test_unstable_flag(self):
         m = sysid.StateSpaceModel(A=[[1.05]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         assert m.is_unstable
