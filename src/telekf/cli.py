@@ -19,9 +19,10 @@ from .errors import ConfigError, DataError, NumericalError
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--dataset", help="identification dataset CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--metric", help="accuracy metric definition")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    p.add_argument("--metric", dest="metric_def",
+                   help="accuracy metric definition")
     p.add_argument("--dt", type=float, help="sample period in seconds")
     p.add_argument("--block-rows", type=int, dest="block_rows",
                    help="Hankel block rows (default 20)")
@@ -69,35 +70,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDES = ("dataset", "validation_dataset", "model_path", "dt",
-              "block_rows", "fixed_order", "burn_in", "sample_delay_range")
+def _read_json(path, what: str):
+    """Parse a JSON file; an unreadable file or bad JSON is a ConfigError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad JSON in {what} {path}: {exc}") from exc
 
 
 def config_from_args(args: argparse.Namespace) -> pipeline.ExperimentConfig:
-    if getattr(args, "config", None):
-        config = pipeline.ExperimentConfig.from_file(args.config)
-    else:
-        config = pipeline.ExperimentConfig()
-    updates = {}
-    for name in _OVERRIDES:
-        value = getattr(args, name, None)
-        if value is not None and value is not False:
-            updates[name] = value
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        updates["master_seed"] = args.seed
-    if getattr(args, "metric", None):
-        updates["metric_def"] = args.metric
-    if getattr(args, "fixed_order", None) is not None:
+    """The --config file (or the defaults), overridden by every given
+    option whose dest names a config field."""
+    config = pipeline.ExperimentConfig()
+    if args.config:
+        config = pipeline.ExperimentConfig.from_dict(
+            _read_json(args.config, "config"))
+    fields = {f.name for f in dataclasses.fields(config)}
+    updates = {name: value for name, value in vars(args).items()
+               if name in fields and value is not None and value is not False}
+    if args.fixed_order is not None:
         updates["order_criterion"] = "fixed"
     if getattr(args, "scenarios_file", None):
-        try:
-            with open(args.scenarios_file) as f:
-                updates["scenarios"] = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(
-                f"cannot read scenarios {args.scenarios_file}: {exc}") from exc
+        updates["scenarios"] = _read_json(args.scenarios_file, "scenarios")
     return dataclasses.replace(config, **updates)
 
 

@@ -175,33 +175,6 @@ class NormalizationParams(JsonFile):
         return cls(inputs=scalings["input"], outputs=scalings["output"])
 
 
-@dataclass(frozen=True)
-class HankelBlock:
-    """Block Hankel matrix: block row s holds samples s .. s+N-1.
-
-    data has shape (block_rows * vars_per_block, columns); the entry at
-    block row s, column j is source sample s+j-1 (1-based), so the matrix
-    is constant along anti-diagonals at block granularity.
-    """
-
-    data: np.ndarray
-    block_rows: int
-    columns: int
-    vars_per_block: int
-
-    def __post_init__(self):
-        expected = self.block_rows * self.vars_per_block
-        if self.data.shape != (expected, self.columns):
-            raise DataError(
-                f"Hankel data shape {self.data.shape} does not match "
-                f"({expected}, {self.columns})")
-
-    def block_row(self, s: int) -> np.ndarray:
-        """Return block row s (0-based), shape (vars_per_block, columns)."""
-        v = self.vars_per_block
-        return self.data[s * v:(s + 1) * v, :]
-
-
 def _fit_scaling(x: np.ndarray, names: tuple[str, ...], role: str) -> ChannelScaling:
     return ChannelScaling(role=role, names=names,
                           mins=x.min(axis=0), maxs=x.max(axis=0))
@@ -232,12 +205,14 @@ def normalize(
     return scaled, params
 
 
-def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> HankelBlock:
+def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> np.ndarray:
     """Stack ``block_rows`` time-shifted windows of ``series`` into a block
-    Hankel matrix with ``columns`` columns.
+    Hankel matrix of shape (block_rows * m, columns).
 
-    series is (N, m); block row s (1-based) holds samples s .. s+columns-1
-    transposed into columns.  Requires N >= block_rows + columns - 1.
+    series is (N, m); block row s (1-based), rows (s-1)*m .. s*m-1, holds
+    samples s .. s+columns-1 transposed into columns, so the matrix is
+    constant along anti-diagonals at block granularity.  Requires
+    N >= block_rows + columns - 1.
     """
     series = np.atleast_2d(np.asarray(series, dtype=float))
     if series.shape[0] == 1 and series.shape[1] > 1:
@@ -252,8 +227,7 @@ def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> HankelBlo
     data = np.empty((block_rows * m, columns))
     data.reshape(block_rows, m, columns)[...] = sliding_window_view(
         series, columns, axis=0)[:block_rows]
-    return HankelBlock(data=data, block_rows=block_rows,
-                       columns=columns, vars_per_block=m)
+    return data
 
 
 #: Timestamps are uniform when every step is within this fraction of the
@@ -379,12 +353,12 @@ def write_table(path, columns: list[str], rows: list[list],
                             for k, r in enumerate(rows, first_index)))
 
 
-def save_dataset(dataset: TrajectoryDataset, path, with_time: bool = True) -> None:
-    """Write a dataset back to the CSV layout accepted by load_dataset."""
-    header = ([f"u:{n}" for n in dataset.input_names]
+def save_dataset(dataset: TrajectoryDataset, path) -> None:
+    """Write a dataset back to the CSV layout accepted by load_dataset,
+    with a leading ``t`` column."""
+    header = (["t"] + [f"u:{n}" for n in dataset.input_names]
               + [f"y:{n}" for n in dataset.output_names])
-    parts = [dataset.inputs, dataset.outputs]
-    if with_time:
-        header.insert(0, "t")
-        parts.insert(0, np.arange(dataset.n_samples)[:, None] * dataset.dt)
-    write_table(path, header, np.hstack(parts).tolist(), first_index=None)
+    times = np.arange(dataset.n_samples)[:, None] * dataset.dt
+    write_table(path, header,
+                np.hstack([times, dataset.inputs, dataset.outputs]).tolist(),
+                first_index=None)

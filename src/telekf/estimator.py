@@ -28,13 +28,13 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _psd_clip(M: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues to the floor."""
+def _psd_clip(M: np.ndarray) -> np.ndarray:
+    """Symmetrize and clip negative eigenvalues to zero."""
     M = _symmetrize(np.asarray(M, dtype=float))
     w, V = np.linalg.eigh(M)
-    if w.min() >= floor:
+    if w.min() >= 0.0:
         return M
-    return _symmetrize(V @ np.diag(np.maximum(w, floor)) @ V.T)
+    return _symmetrize(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,10 @@ class NoiseModel(JsonFile):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Current estimate: state vector x, covariance P, sample index k."""
+    """Current estimate: state vector x and covariance P."""
 
     x: np.ndarray
     P: np.ndarray
-    k: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float).reshape(-1)
@@ -119,7 +118,7 @@ def kf_predict(state: FilterState, u: np.ndarray, model: StateSpaceModel,
     A = model.A
     x = A @ state.x + model.B @ u
     P = _symmetrize(A @ state.P @ A.T + noise.Q)
-    return FilterState(x=x, P=P, k=state.k + 1)
+    return FilterState(x=x, P=P)
 
 
 def _row_updates(P: np.ndarray, C: np.ndarray,
@@ -173,7 +172,7 @@ def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
         IKC = np.eye(x.size) - K @ C
         P = _symmetrize(IKC @ P @ IKC.T + K @ R @ K.T)
     x = x + K @ (z - C @ x)
-    return FilterState(x=x, P=_psd_clip(P, floor=0.0), k=prior.k)
+    return FilterState(x=x, P=_psd_clip(P))
 
 
 # The gain is frozen once the posterior covariance moves by no more than a
@@ -291,11 +290,11 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
 def estimate_noise_empirical(
     model: StateSpaceModel, inputs: np.ndarray, outputs: np.ndarray,
     eps_q: float = 1e-4, eps_r: float = 1e-4, iterations: int = 1,
-    x0: np.ndarray | None = None, P0: np.ndarray | None = None,
 ) -> NoiseModel:
     """Bootstrap Q and R from filter residuals.
 
-    Starting from Q = eps_q I, R = eps_r I, run the filter, then form
+    Starting from Q = eps_q I, R = eps_r I, run the filter from its default
+    start (x0 = 0, P0 = I), then form
     measurement residuals r_y(k) = y(k) - y_hat(k), y_hat = C x_hat + D u,
     and process residuals r_x(k) = x_hat(k) - A x_hat(k-1) - B u(k-1),
     with the input terms the filter uses (model.input_terms), and take
@@ -313,7 +312,7 @@ def estimate_noise_empirical(
     noise = NoiseModel.initial(model.order, model.m_out,
                                eps_q=eps_q, eps_r=eps_r)
     for _ in range(iterations):
-        run = run_filter(model, noise, inputs, outputs, x0=x0, P0=P0)
+        run = run_filter(model, noise, inputs, outputs)
         r_y = outputs - run.estimates
         # r_x(k) = x(k) - A x(k-1) - B u(k-1), k = 2..N
         r_x = run.states[1:] - run.states[:-1] @ model.A.T - Bu

@@ -15,11 +15,12 @@ import numpy as np
 
 from .dataio import JsonFile
 from .errors import DataError
-from .netsim import NetworkScenario
 from .sysid import StateSpaceModel, simulate
 
 DEFAULT_METRIC = "nrmse_range"
 ACCURACY_METRICS = ("nrmse_range", "one_minus_rmse", "nmae")
+#: Reports take innovation whiteness over lags 1..WHITENESS_MAX_LAG.
+WHITENESS_MAX_LAG = 10
 
 #: Published (RMSE, accuracy %) pairs used by the calibration utility.
 REFERENCE_ACCURACY_PAIRS = (
@@ -31,7 +32,7 @@ REFERENCE_ACCURACY_PAIRS = (
 
 @dataclass(frozen=True)
 class EstimationReport(JsonFile):
-    """Per-channel quality summary for one filter run."""
+    """Per-channel quality summary for one filter run or simulation."""
 
     rmse: np.ndarray
     accuracy_pct: np.ndarray
@@ -39,7 +40,6 @@ class EstimationReport(JsonFile):
     n_samples: int
     metric_def: str
     burn_in: int = 0
-    scenario: NetworkScenario | None = None
 
     def __post_init__(self):
         for name in ("rmse", "accuracy_pct", "whiteness"):
@@ -53,7 +53,7 @@ class EstimationReport(JsonFile):
             raise DataError("metric_def must be recorded")
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "rmse": self.rmse.tolist(),
             "accuracy_pct": self.accuracy_pct.tolist(),
             "whiteness": self.whiteness.tolist(),
@@ -61,13 +61,9 @@ class EstimationReport(JsonFile):
             "metric_def": self.metric_def,
             "burn_in": self.burn_in,
         }
-        if self.scenario is not None:
-            doc["scenario"] = self.scenario.to_dict()
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimationReport":
-        sc = doc.get("scenario")
         return cls(
             rmse=np.array(doc["rmse"]),
             accuracy_pct=np.array(doc["accuracy_pct"]),
@@ -75,7 +71,6 @@ class EstimationReport(JsonFile):
             n_samples=doc["n_samples"],
             metric_def=doc["metric_def"],
             burn_in=doc.get("burn_in", 0),
-            scenario=NetworkScenario.from_dict(sc) if sc else None,
         )
 
 
@@ -120,7 +115,8 @@ def accuracy_pct(estimates: np.ndarray, truth: np.ndarray,
     return float(np.clip(acc, 0.0, 100.0))
 
 
-def innovation_whiteness(innovations: np.ndarray, max_lag: int = 10
+def innovation_whiteness(innovations: np.ndarray,
+                         max_lag: int = WHITENESS_MAX_LAG
                          ) -> tuple[np.ndarray, float]:
     """Max |sample autocorrelation| over lags 1..max_lag, per channel,
     plus the 95% confidence band 1.96/sqrt(N)."""
@@ -152,11 +148,11 @@ def autocorrelations(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 def report_run(estimates: np.ndarray, truth: np.ndarray,
                innovations: np.ndarray | None = None,
-               metric_def: str = DEFAULT_METRIC, burn_in: int = 0,
-               max_lag: int = 10,
-               scenario: NetworkScenario | None = None) -> EstimationReport:
+               metric_def: str = DEFAULT_METRIC,
+               burn_in: int = 0) -> EstimationReport:
     """Summarize a filter run against ground truth, excluding the first
-    ``burn_in`` samples from the error metrics."""
+    ``burn_in`` samples from the error metrics and the whiteness (NaN
+    when no innovations are given or too few remain)."""
     estimates, truth = _check_pair(estimates, truth)
     estimates = np.atleast_2d(estimates)
     truth = np.atleast_2d(truth)
@@ -167,13 +163,14 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
     rmses = np.array([rmse(e[:, j], t[:, j]) for j in range(channels)])
     accs = np.array([accuracy_pct(e[:, j], t[:, j], metric_def)
                      for j in range(channels)])
-    if innovations is not None and innovations.shape[0] - burn_in > max_lag:
-        white, _ = innovation_whiteness(innovations[burn_in:], max_lag)
+    if (innovations is not None
+            and innovations.shape[0] - burn_in > WHITENESS_MAX_LAG):
+        white, _ = innovation_whiteness(innovations[burn_in:])
     else:
         white = np.full(channels, np.nan)
     return EstimationReport(rmse=rmses, accuracy_pct=accs, whiteness=white,
                             n_samples=e.shape[0], metric_def=metric_def,
-                            burn_in=burn_in, scenario=scenario)
+                            burn_in=burn_in)
 
 
 def fit_report(model: StateSpaceModel, inputs: np.ndarray,

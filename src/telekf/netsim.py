@@ -9,7 +9,6 @@ generator; the scenario seed is split into two independent substreams
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +18,9 @@ from .errors import ConfigError, DataError
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Channel parameters: delay nd (ms), jitter std nj (ms), loss
-    probability np in [0, 1], and a 64-bit RNG seed."""
+    """Channel parameters: delay nd (ms) and jitter std nj (ms), both
+    finite and non-negative, loss probability np in [0, 1], and a 64-bit
+    RNG seed."""
 
     nd_ms: float
     nj_ms: float
@@ -30,8 +30,10 @@ class NetworkScenario:
     label: str = ""
 
     def __post_init__(self):
-        if self.nd_ms < 0 or self.nj_ms < 0:
-            raise DataError("delay and jitter must be non-negative")
+        # NaN fails every comparison, so it is rejected with inf
+        if not (0 <= self.nd_ms < np.inf and 0 <= self.nj_ms < np.inf):
+            raise DataError(f"delay {self.nd_ms} and jitter {self.nj_ms} "
+                            f"must be finite and non-negative")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise DataError(f"loss probability {self.loss_prob} outside [0, 1]")
 
@@ -53,9 +55,9 @@ class NetworkScenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
-        """Build a scenario from its JSON form; a missing or non-numeric
-        delay, jitter or loss entry, or a delay_range_ms that is not two
-        finite numbers 0 <= lo <= hi, is a ConfigError."""
+        """Build a scenario from its JSON form; a missing, non-numeric or
+        out-of-range delay, jitter or loss entry, or a delay_range_ms that
+        is not two finite numbers 0 <= lo <= hi, is a ConfigError."""
         try:
             if "np" in doc:
                 loss = float(doc["np"])
@@ -74,18 +76,12 @@ class NetworkScenario:
                     raise ConfigError(
                         f"delay_range_ms must be two finite numbers "
                         f"0 <= lo <= hi, got {doc['delay_range_ms']!r}")
+            return cls(nd_ms=nd_ms, nj_ms=nj_ms, loss_prob=loss, seed=seed,
+                       delay_range_ms=rng, label=doc.get("label", ""))
         except KeyError as exc:
             raise ConfigError(f"scenario needs {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DataError) as exc:
             raise ConfigError(f"bad scenario {doc!r}: {exc}") from None
-        return cls(
-            nd_ms=nd_ms,
-            nj_ms=nj_ms,
-            loss_prob=loss,
-            seed=seed,
-            delay_range_ms=rng,
-            label=doc.get("label", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -137,12 +133,9 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
     loss_rng = np.random.Generator(np.random.PCG64(loss_ss))
 
     g = jitter_rng.standard_normal(n - 1)
-    lost = loss_rng.random(n - 1) <= scenario.loss_prob
-    # Degenerate endpoints stay exact: no draws consumed beyond the above.
-    if scenario.loss_prob == 0.0:
-        lost[:] = False
-    elif scenario.loss_prob == 1.0:
-        lost[:] = True
+    # random() lies in [0, 1), so p = 0 loses nothing and p = 1 everything
+    loss_mask = np.concatenate(
+        ([False], loss_rng.random(n - 1) < scenario.loss_prob))
 
     ms_to_samples = 1.0 / (dt * 1000.0)
     if sample_delay_range and scenario.delay_range_ms is not None:
@@ -156,29 +149,20 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
     k = np.arange(2, n + 1)  # 1-based sample indices
     # Lower clamp per the delay formula; upper clamp keeps negative jitter
     # draws from indexing past the end of the stream.
-    delivered = np.clip((k - offset).astype(int), 1, n)
-
-    source_index = np.empty(n, dtype=int)
-    source_index[0] = 1
-    source_index[1:] = np.where(lost, 0, delivered)
-
-    # Held samples replay the last delivered index (forward fill).
     effective = np.empty(n, dtype=int)
     effective[0] = 1
-    effective[1:] = delivered
-    held = np.concatenate(([False], lost))
-    idx = np.where(~held, np.arange(n), 0)
-    np.maximum.accumulate(idx, out=idx)
-    filled = effective[idx]
+    effective[1:] = np.clip((k - offset).astype(int), 1, n)
 
-    observed = clean[filled - 1, :]
-    loss_mask = np.concatenate(([False], lost))
-    return ImpairedStream(observed=observed, source_index=source_index,
+    # Held samples replay the last delivered index (forward fill).
+    idx = np.where(loss_mask, 0, np.arange(n))
+    np.maximum.accumulate(idx, out=idx)
+    return ImpairedStream(observed=clean[effective[idx] - 1, :],
+                          source_index=np.where(loss_mask, 0, effective),
                           loss_mask=loss_mask)
 
 
-def scenario_suite(base_seed: int = 0) -> list[NetworkScenario]:
-    """The six canonical Tactile-Internet scenarios.
+def scenario_suite() -> list[NetworkScenario]:
+    """The six canonical Tactile-Internet scenarios, seeded 0..5.
 
     Ranged delays are collapsed to their midpoint; the range is kept as
     metadata so a per-sample uniform draw can be enabled instead.  Loss
@@ -203,17 +187,7 @@ def scenario_suite(base_seed: int = 0) -> list[NetworkScenario]:
             rng = None
         suite.append(NetworkScenario(
             nd_ms=nd_ms, nj_ms=nj, loss_prob=loss_pct / 100.0,
-            seed=base_seed + i, delay_range_ms=rng,
+            seed=i, delay_range_ms=rng,
             label=f"scenario_{i + 1}"))
     return suite
 
-
-def save_scenarios(scenarios: list[NetworkScenario], path) -> None:
-    with open(path, "w") as f:
-        json.dump([s.to_dict() for s in scenarios], f, indent=2)
-
-
-def load_scenarios(path) -> list[NetworkScenario]:
-    with open(path) as f:
-        doc = json.load(f)
-    return [NetworkScenario.from_dict(d) for d in doc]

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import shutil
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,9 @@ class ExperimentConfig:
                 f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
         crit = self.order_criterion
         valid = {"metric_def": self.metric_def in metrics.ACCURACY_METRICS,
+                 "block_rows": self.block_rows >= 1,
                  "order_criterion": crit in ("energy", "fixed", "threshold"),
+                 "energy": crit != "energy" or 0 < self.energy <= 1,
                  "fixed_order": crit != "fixed" or (self.fixed_order or 0) >= 1,
                  "order_threshold": (crit != "threshold"
                                      or self.order_threshold is not None),
@@ -76,8 +78,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config values: {', '.join(bad)}")
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        return doc
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -94,17 +95,6 @@ class ExperimentConfig:
                     f"config key {name!r} must be {' or '.join(kinds)}, "
                     f"got {value!r}")
         return cls(**doc)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON in config {path}: {exc}") from exc
-        return cls.from_dict(doc)
 
     @property
     def config_hash(self) -> str:
@@ -222,17 +212,23 @@ def _get_model(config: ExperimentConfig):
     return model, norm
 
 
-def _estimate(model: sysid.StateSpaceModel,
-              noise_cfg: tuple[float, float, int], inputs: np.ndarray,
-              observed: np.ndarray):
-    """Bootstrap Q/R on an observed stream, then filter it.  The result
-    depends on the stream alone, so scenarios that deliver the same
-    stream can share it."""
+def _score_stream(model: sysid.StateSpaceModel,
+                  noise_cfg: tuple[float, float, int], inputs: np.ndarray,
+                  observed: np.ndarray, truth: np.ndarray, metric_def: str,
+                  burn_in: int):
+    """Bootstrap Q/R on an observed stream, filter it and score the
+    estimates against the truth; returns noise, run and report.  They
+    depend on the stream alone, so scenarios that deliver the same
+    stream can share them."""
     eps_q, eps_r, iterations = noise_cfg
     noise = estimator.estimate_noise_empirical(
         model, inputs, observed, eps_q=eps_q, eps_r=eps_r,
         iterations=iterations)
-    return noise, estimator.run_filter(model, noise, inputs, observed)
+    run = estimator.run_filter(model, noise, inputs, observed)
+    report = metrics.report_run(run.estimates, truth,
+                                innovations=run.innovations,
+                                metric_def=metric_def, burn_in=burn_in)
+    return noise, run, report
 
 
 def run_scenario(model: sysid.StateSpaceModel,
@@ -241,15 +237,11 @@ def run_scenario(model: sysid.StateSpaceModel,
                  scenario: netsim.NetworkScenario, dt: float,
                  metric_def: str, burn_in: int,
                  sample_delay_range: bool = False):
-    """Impair, bootstrap Q/R on the observed stream, filter, report."""
+    """Impair, then _score_stream; returns stream, noise, run, report."""
     stream = netsim.impair(clean_outputs, scenario, dt,
                            sample_delay_range=sample_delay_range)
-    noise, run = _estimate(model, noise_cfg, inputs, stream.observed)
-    report = metrics.report_run(run.estimates, clean_outputs,
-                                innovations=run.innovations,
-                                metric_def=metric_def, burn_in=burn_in,
-                                scenario=scenario)
-    return stream, noise, run, report
+    return (stream, *_score_stream(model, noise_cfg, inputs, stream.observed,
+                                   clean_outputs, metric_def, burn_in))
 
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
@@ -288,9 +280,8 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     rows = []
     reports = []
     # observed stream bytes -> (tag, noise, report, gain_converged_step) of
-    # the first scenario that delivered it; a report depends on the stream
-    # alone apart from the scenario it names
-    shared = {}
+    # the first scenario that delivered it
+    first_seen = {}
     for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
@@ -298,22 +289,18 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 norm.outputs, scenario, norm.dt,
                 sample_delay_range=config.sample_delay_range)
             key = stream.observed.tobytes()
-            hit = shared.get(key)
-            if hit is None:
-                noise, run = _estimate(model, noise_cfg, norm.inputs,
-                                       stream.observed)
-                hit = (None, noise, metrics.report_run(
-                    run.estimates, norm.outputs, innovations=run.innovations,
-                    metric_def=config.metric_def, burn_in=burn_in),
-                    run.gain_converged_step)
-            same_as, noise, report, converged = hit
-            report = replace(report, scenario=scenario)
+            if key not in first_seen:
+                noise, run, report = _score_stream(
+                    model, noise_cfg, norm.inputs, stream.observed,
+                    norm.outputs, config.metric_def, burn_in)
+                first_seen[key] = (tag, noise, report, run.gain_converged_step)
         except TelekfError as exc:  # keep sweeping; record the failure
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        shared.setdefault(key, (tag, *hit[1:]))
+        first, noise, report, converged = first_seen[key]
+        same_as = None if first == tag else first
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
@@ -331,7 +318,8 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
-        _write_json(out / f"{tag}_report.json", config, report.to_dict(),
+        _write_json(out / f"{tag}_report.json", config,
+                    {**report.to_dict(), "scenario": scenario.to_dict()},
                     noise=noise.to_dict(), gain_converged_step=converged,
                     rows_changed=int(np.any(stream.observed != norm.outputs,
                                             axis=1).sum()),

@@ -218,8 +218,8 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
             f"block_rows={d}, got {n_samples}")
 
     cols = n_samples - d + 1
-    U = build_hankel(inputs, d, cols).data
-    Y = build_hankel(outputs, d, cols).data
+    U = build_hankel(inputs, d, cols)
+    Y = build_hankel(outputs, d, cols)
 
     L, lq_method, lq_cond_est = _lq_factor(U, Y)
     du = d * m_in
@@ -274,10 +274,14 @@ def select_order(singular_values: np.ndarray, criterion: str = "energy",
     raise DataError(f"unknown order criterion '{criterion}'")
 
 
+#: realize refuses a shift equation or an R11 whose condition number
+#: exceeds this.
+_COND_LIMIT = 1e12
+
+
 def realize(decomp: SubspaceDecomposition, order: int,
             dt: float = 1.0 / 30.0,
-            norm_params: NormalizationParams | None = None,
-            cond_limit: float = 1e12) -> StateSpaceModel:
+            norm_params: NormalizationParams | None = None) -> StateSpaceModel:
     """Recover (A, B, C, D) from the decomposition at the given order.
 
     C is the top block of the scaled observability estimate Ok; A solves
@@ -302,7 +306,7 @@ def realize(decomp: SubspaceDecomposition, order: int,
     top = Ok[:m_out * (d - 1), :]
     bottom = Ok[m_out:m_out * d, :]
     cond = np.linalg.cond(top)
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise NumericalError(
             f"ill-conditioned observability shift equation (cond={cond:.3e})")
     A, *_ = np.linalg.lstsq(top, bottom, rcond=None)
@@ -310,7 +314,7 @@ def realize(decomp: SubspaceDecomposition, order: int,
     # B, D from L1 = U1[:, n:].T and M1 = L1 R21 R11^-1.
     L1 = decomp.U1[:, n:].T
     r11_cond = decomp.cond_r11
-    if not np.isfinite(r11_cond) or r11_cond > cond_limit:
+    if not np.isfinite(r11_cond) or r11_cond > _COND_LIMIT:
         raise NumericalError(
             f"singular R11 (insufficient input excitation, cond={r11_cond:.3e})")
     M1 = L1 @ decomp.R21 @ np.linalg.inv(decomp.R11)

@@ -446,9 +446,14 @@ class TestErrors:
                      "delay_range_ms": [5, 1]}]),
         json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                      "delay_range_ms": [-1, 2]}]),
+        '[{"nd_ms": Infinity, "nj_ms": 1.0, "np": 0.0}]',
+        '[{"nd_ms": 1.0, "nj_ms": NaN, "np": 0.0}]',
+        json.dumps([{"nd_ms": -1.0, "nj_ms": 1.0, "np": 0.0}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 1.5}]),
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
             "scalar_delay_range", "not_object", "three_delay_bounds",
-            "reversed_delay_range", "negative_delay_range"])
+            "reversed_delay_range", "negative_delay_range", "infinite_delay",
+            "nan_jitter", "negative_delay", "loss_above_one"])
     def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
                                                   capsys, text):
         scen = tmp_path / "scen.json"
@@ -487,9 +492,14 @@ class TestErrors:
         ({"order_criterion": "threshold"}, [], "order_threshold=None"),
         ({}, ["--burn-in", "-5"], "burn_in=-5"),
         ({}, ["--order", "0"], "fixed_order=0"),
+        ({"energy": 7.0}, [], "energy=7.0"),
+        ({"energy": 0.0}, [], "energy=0.0"),
+        ({"energy": -0.5}, [], "energy=-0.5"),
+        ({}, ["--block-rows", "0"], "block_rows=0"),
     ], ids=["metric", "iterations", "eps_q", "eps_r", "criterion",
             "fixed_without_order", "threshold_without_ratio", "burn_in",
-            "order_zero"])
+            "order_zero", "energy_above_one", "energy_zero",
+            "energy_negative", "block_rows_zero"])
     def test_invalid_config_value_stops_sweep(self, tmp_path, dataset_csv,
                                               capsys, doc, args, message):
         # checked once, up front: no scenario runs and no summary is written

@@ -294,21 +294,21 @@ class TestDenormalize:
 class TestHankel:
     def test_scalar_by_hand(self):
         h = dataio.build_hankel(np.array([1.0, 2, 3, 4, 5]), 2, 3)
-        np.testing.assert_array_equal(h.data, [[1, 2, 3], [2, 3, 4]])
+        np.testing.assert_array_equal(h, [[1, 2, 3], [2, 3, 4]])
 
     def test_single_column(self):
         h = dataio.build_hankel(np.array([1.0, 2, 3]), 3, 1)
-        np.testing.assert_array_equal(h.data, [[1], [2], [3]])
+        np.testing.assert_array_equal(h, [[1], [2], [3]])
 
     def test_jigsaws_scale_dimensions(self, rng):
         series = rng.standard_normal((1240, 3))
         h = dataio.build_hankel(series, 20, 1221)
-        assert h.data.shape == (60, 1221)
+        assert h.shape == (60, 1221)
         # independent index walk: entry (s*3+i, j) == series[s+j, i]
         for s in (0, 7, 19):
             for j in (0, 500, 1220):
                 for i in range(3):
-                    assert h.data[s * 3 + i, j] == series[s + j, i]
+                    assert h[s * 3 + i, j] == series[s + j, i]
 
     def test_insufficient_samples(self):
         with pytest.raises(DataError, match="too short"):
@@ -321,12 +321,12 @@ class TestHankel:
         ref = np.empty((block_rows * 4, columns))
         for s in range(block_rows):
             ref[s * 4:(s + 1) * 4, :] = series[s:s + columns, :].T
-        assert h.data.flags.c_contiguous
-        assert h.data.tobytes() == ref.tobytes()
+        assert h.flags.c_contiguous
+        assert h.tobytes() == ref.tobytes()
 
     def test_antidiagonal_property(self, rng):
         series = rng.standard_normal((30, 2))
         h = dataio.build_hankel(series, 5, 20)
-        for s in range(4):
-            np.testing.assert_array_equal(h.block_row(s + 1)[:, :-1],
-                                          h.block_row(s)[:, 1:])
+        for s in range(4):  # block row s is rows 2s and 2s+1
+            np.testing.assert_array_equal(h[2 * s + 2:2 * s + 4, :-1],
+                                          h[2 * s:2 * s + 2, 1:])

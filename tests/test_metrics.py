@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telekf import metrics, netsim, sysid
+from telekf import metrics, sysid
 from telekf.errors import DataError
 
 from conftest import random_stable_system
@@ -159,15 +159,13 @@ class TestReport:
         report = metrics.EstimationReport(
             rmse=[0.02, 0.03], accuracy_pct=[97.5, 96.0],
             whiteness=[0.05, 0.07], n_samples=1200,
-            metric_def="nrmse_range", burn_in=30,
-            scenario=netsim.NetworkScenario(1.0, 0.1, 0.0001, seed=9))
+            metric_def="nrmse_range", burn_in=30)
         p = tmp_path / "report.json"
         report.save(p)
         with open(p) as f:
             again = metrics.EstimationReport.from_dict(json.load(f))
         np.testing.assert_array_equal(again.rmse, report.rmse)
         np.testing.assert_array_equal(again.accuracy_pct, report.accuracy_pct)
-        assert again.scenario == report.scenario
         assert again.metric_def == report.metric_def
 
     def test_metric_def_mandatory(self):

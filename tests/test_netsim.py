@@ -117,6 +117,9 @@ class TestScenario:
             netsim.NetworkScenario(-1, 0, 0)
         with pytest.raises(DataError):
             netsim.NetworkScenario(0, 0, 1.5)
+        for nd, nj in ((np.inf, 0), (0, np.nan)):
+            with pytest.raises(DataError, match="finite"):
+                netsim.NetworkScenario(nd, nj, 0)
 
     def test_dict_roundtrip_percent_encoding(self):
         sc = netsim.NetworkScenario(1.0, 0.1, 0.0001, seed=4)
@@ -145,9 +148,3 @@ class TestSuite:
         assert sc.nd_ms == pytest.approx(2600.0)
         assert sc.loss_prob == pytest.approx(0.01)
         assert sc.delay_range_ms == (200.0, 5000.0)
-
-    def test_save_load(self, tmp_path):
-        suite = netsim.scenario_suite()
-        p = tmp_path / "scenarios.json"
-        netsim.save_scenarios(suite, p)
-        assert netsim.load_scenarios(p) == suite

@@ -49,7 +49,7 @@ def noisy_hankels(rng, n_samples, m_in, m_out, d, noise=0.1):
     u = rng.standard_normal((n_samples, m_in))
     y = sysid.simulate(true, u) + noise * rng.standard_normal((n_samples, m_out))
     cols = n_samples - d + 1
-    return build_hankel(u, d, cols).data, build_hankel(y, d, cols).data
+    return build_hankel(u, d, cols), build_hankel(y, d, cols)
 
 
 def householder_lq(U, Y):
@@ -77,7 +77,7 @@ class TestLQFactor:
         u = rng.standard_normal((2000, 1))
         y = sysid.simulate(two_state_system(), u)
         cols = 2000 - 10 + 1
-        U, Y = build_hankel(u, 10, cols).data, build_hankel(y, 10, cols).data
+        U, Y = build_hankel(u, 10, cols), build_hankel(y, 10, cols)
         L, method, _ = sysid._lq_factor(U, Y)
         assert method == "householder"
         np.testing.assert_array_equal(L, householder_lq(U, Y))
@@ -89,13 +89,13 @@ class TestLQFactor:
         y0 = sysid.simulate(true, u)
         e = rng.standard_normal(y0.shape)
         cols = 1240 - 20 + 1
-        U = build_hankel(u, 20, cols).data
+        U = build_hankel(u, 20, cols)
         methods = set()
         for noise in 10.0 ** -np.arange(1, 8):
             y = y0 + noise * e
             dec = sysid.moesp_decompose(u, y, block_rows=20)
             methods.add(dec.lq_method)
-            ref = householder_lq(U, build_hankel(y, 20, cols).data)
+            ref = householder_lq(U, build_hankel(y, 20, cols))
             ss = np.linalg.svd(ref[60:, 60:], compute_uv=False)
             # every singular value to 1e-10 of itself, the small noise-floor
             # ones included
