@@ -8,7 +8,6 @@ the sample period comes from the caller (default 30 Hz).
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -18,26 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 
 DEFAULT_DT = 1.0 / 30.0
-
-
-class JsonFile:
-    """JSON persistence for a dataclass with ``to_dict``/``from_dict``."""
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        """Read a file written by ``save``; an unreadable file or a
-        malformed document is a DataError."""
-        try:
-            with open(path) as f:
-                return cls.from_dict(json.load(f))
-        except (OSError, AttributeError, KeyError, TypeError,
-                ValueError) as exc:  # ValueError: JSONDecodeError, non-numbers
-            raise DataError(
-                f"cannot load {cls.__name__} from {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -131,17 +110,11 @@ class ChannelScaling:
         out[:, self.constant] = 0.0
         return out
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.mins.size:
-            raise DataError(
-                f"expected {self.mins.size} channels, got {x.shape[1]}")
-        return x * (self.maxs - self.mins) + self.mins
-
 
 @dataclass(frozen=True)
-class NormalizationParams(JsonFile):
-    """Min-max statistics for both roles, retained for inverse transforms."""
+class NormalizationParams:
+    """Min-max statistics for both roles; model.json carries them so that
+    later recordings are scaled as the identification data were."""
 
     inputs: ChannelScaling
     outputs: ChannelScaling

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import JsonFile
 from .errors import DataError, NumericalError
-from .netsim import ImpairedStream
 from .sysid import StateSpaceModel, _affine_pass
 
 
@@ -38,7 +36,7 @@ def _psd_clip(M: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NoiseModel(JsonFile):
+class NoiseModel:
     """Process (Q) and measurement (R) noise covariances."""
 
     Q: np.ndarray
@@ -70,11 +68,6 @@ class NoiseModel(JsonFile):
     def to_dict(self) -> dict:
         return {"Q": self.Q.tolist(), "R": self.R.tolist(),
                 "provenance": self.provenance}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NoiseModel":
-        return cls(Q=np.array(doc["Q"]), R=np.array(doc["R"]),
-                   provenance=doc.get("provenance", "initial"))
 
 
 @dataclass(frozen=True)
@@ -221,7 +214,7 @@ def _cached_schedule(key, n_samples):
 
 
 def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
-               measurements: ImpairedStream | np.ndarray,
+               measurements: np.ndarray,
                x0: np.ndarray | None = None,
                P0: np.ndarray | None = None) -> EstimationRun:
     """Run predict/update over the full stream.
@@ -241,10 +234,7 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     the rest.  A non-positive innovation variance raises NumericalError
     naming the sample.
     """
-    if isinstance(measurements, ImpairedStream):
-        z_seq = measurements.observed
-    else:
-        z_seq = np.atleast_2d(np.asarray(measurements, dtype=float))
+    z_seq = np.atleast_2d(np.asarray(measurements, dtype=float))
     Bu, Du = model.input_terms(inputs)
     n_samples = Du.shape[0]
     if z_seq.shape[0] != n_samples:

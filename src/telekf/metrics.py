@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import JsonFile
 from .errors import DataError
 from .sysid import StateSpaceModel, simulate
 
@@ -31,7 +30,7 @@ REFERENCE_ACCURACY_PAIRS = (
 
 
 @dataclass(frozen=True)
-class EstimationReport(JsonFile):
+class EstimationReport:
     """Per-channel quality summary for one filter run or simulation."""
 
     rmse: np.ndarray
@@ -61,17 +60,6 @@ class EstimationReport(JsonFile):
             "metric_def": self.metric_def,
             "burn_in": self.burn_in,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EstimationReport":
-        return cls(
-            rmse=np.array(doc["rmse"]),
-            accuracy_pct=np.array(doc["accuracy_pct"]),
-            whiteness=np.array(doc["whiteness"]),
-            n_samples=doc["n_samples"],
-            metric_def=doc["metric_def"],
-            burn_in=doc.get("burn_in", 0),
-        )
 
 
 def _check_pair(estimates, truth):

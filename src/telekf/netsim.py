@@ -97,10 +97,6 @@ class ImpairedStream:
     source_index: np.ndarray
     loss_mask: np.ndarray
 
-    @property
-    def n_samples(self) -> int:
-        return self.observed.shape[0]
-
 
 def _round_half_up(x: np.ndarray) -> np.ndarray:
     # round() in the delay formula is half-away-from-zero, not banker's.

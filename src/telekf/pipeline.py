@@ -130,19 +130,14 @@ def _finite_or_none(x: float | None) -> float | None:
 def _load_and_normalize(config: ExperimentConfig):
     if not config.dataset:
         raise ConfigError("config has no dataset path")
-    raw = dataio.load_dataset(config.dataset, dt=config.dt)
-    norm, params = dataio.normalize(raw)
-    return raw, norm, params
+    return dataio.normalize(dataio.load_dataset(config.dataset, dt=config.dt))
 
 
-def _identify(config: ExperimentConfig, norm: dataio.TrajectoryDataset,
-              params: dataio.NormalizationParams):
-    model, decomp, order = sysid.identify(
+def _identify(config: ExperimentConfig, norm: dataio.TrajectoryDataset):
+    return sysid.identify(
         norm.inputs, norm.outputs, block_rows=config.block_rows,
         criterion=config.order_criterion, energy=config.energy,
-        fixed=config.fixed_order, threshold=config.order_threshold,
-        dt=norm.dt, norm_params=params)
-    return model, decomp, order
+        fixed=config.fixed_order, threshold=config.order_threshold)
 
 
 def _burn_in(config: ExperimentConfig, model: sysid.StateSpaceModel) -> int:
@@ -152,16 +147,22 @@ def _burn_in(config: ExperimentConfig, model: sysid.StateSpaceModel) -> int:
 def cmd_identify(config: ExperimentConfig) -> dict:
     """Identify a model from the config's dataset.
 
-    Writes model.json, singular_values.csv (scree data), and
-    identify_log.json into the output directory.
+    Writes model.json (read back by load_model; its "dt" is the
+    dataset's and only informational), singular_values.csv (scree data)
+    and identify_log.json into the output directory.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, norm, params = _load_and_normalize(config)
-    model, decomp, order = _identify(config, norm, params)
+    norm, params = _load_and_normalize(config)
+    model, decomp, order = _identify(config, norm)
 
     model_path = out / "model.json"
-    _write_json(model_path, config, model.to_dict())
+    _write_json(model_path, config, {
+        "order": model.order, "dt": norm.dt, "A": model.A.tolist(),
+        "B": model.B.tolist(), "C": model.C.tolist(), "D": model.D.tolist(),
+        "spectral_radius": model.spectral_radius,
+        "flags": {"unstable": model.is_unstable},
+        "norm_params": params.to_dict()})
 
     scree_path = out / "singular_values.csv"
     dataio.write_table(scree_path, ["index", "singular_value"],
@@ -188,28 +189,44 @@ def cmd_identify(config: ExperimentConfig) -> dict:
             "paths": {"model": model_path, "scree": scree_path, "log": log_path}}
 
 
+def load_model(path) -> tuple[sysid.StateSpaceModel,
+                              dataio.NormalizationParams]:
+    """Read the matrices and normalization params of a model.json written
+    by cmd_identify; an unreadable file or a malformed document is a
+    DataError."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
+        return model, dataio.NormalizationParams.from_dict(doc["norm_params"])
+    except (OSError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:  # ValueError: JSONDecodeError, non-numbers
+        raise DataError(
+            f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
+
+
 def _in_model_units(path: str, model: sysid.StateSpaceModel,
+                    params: dataio.NormalizationParams,
                     dt: float | None) -> dataio.TrajectoryDataset:
     """Load a recording and normalize it with a saved model's parameters,
     checking its channel counts against the model's."""
-    if model.norm_params is None:
-        raise DataError(f"model carries no normalization params for {path}")
     raw = dataio.load_dataset(path, dt=dt)
     if (raw.m_in, raw.m_out) != (model.m_in, model.m_out):
         raise DataError(f"{path} is {raw.m_in}x{raw.m_out} channels, model "
                         f"expects {model.m_in}x{model.m_out}")
-    return dataio.normalize(raw, params=model.norm_params)[0]
+    return dataio.normalize(raw, params=params)[0]
 
 
 def _get_model(config: ExperimentConfig):
-    """Load a saved model or identify one inline; returns model and the
-    normalized identification dataset (None when a saved model is used:
-    callers that need data load it with _in_model_units)."""
+    """Load a saved model or identify one inline; returns the model, its
+    normalization params and the normalized identification dataset (None
+    when a saved model is used: callers that need data load it with
+    _in_model_units)."""
     if config.model_path:
-        return sysid.StateSpaceModel.load(config.model_path), None
-    _, norm, params = _load_and_normalize(config)
-    model, _, _ = _identify(config, norm, params)
-    return model, norm
+        return (*load_model(config.model_path), None)
+    norm, params = _load_and_normalize(config)
+    model, _, _ = _identify(config, norm)
+    return model, params, norm
 
 
 def _score_stream(model: sysid.StateSpaceModel,
@@ -256,16 +273,16 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     since each names its scenario's files."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, norm = _get_model(config)
-    if norm is None:
-        if not config.dataset:
-            raise ConfigError("sweep needs a dataset (for inputs and truth)")
-        norm = _in_model_units(config.dataset, model, config.dt)
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
     if repeated:
         raise ConfigError(f"scenario labels repeat: {repeated}")
+    model, params, norm = _get_model(config)
+    if norm is None:
+        if not config.dataset:
+            raise ConfigError("sweep needs a dataset (for inputs and truth)")
+        norm = _in_model_units(config.dataset, model, params, config.dt)
     burn_in = _burn_in(config, model)
     noise_cfg = (config.eps_q, config.eps_r, config.bootstrap_iterations)
 
@@ -340,10 +357,11 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     fit_report.json and an estimate-vs-truth CSV."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, _ = _get_model(config)
+    model, params, _ = _get_model(config)
     if not config.validation_dataset:
         raise ConfigError("config has no validation_dataset path")
-    norm = _in_model_units(config.validation_dataset, model, config.dt)
+    norm = _in_model_units(config.validation_dataset, model, params,
+                           config.dt)
 
     predicted = sysid.simulate(model, norm.inputs)
     report = metrics.report_run(predicted, norm.outputs,
@@ -368,7 +386,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     scenario and export the observed stream."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, norm, _ = _load_and_normalize(config)
+    norm, _ = _load_and_normalize(config)
     scenarios = config.resolve_scenarios()
     if not 0 <= scenario_index < len(scenarios):
         raise ConfigError(

@@ -18,20 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import JsonFile, NormalizationParams, build_hankel
+from .dataio import build_hankel
 from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
-class StateSpaceModel(JsonFile):
+class StateSpaceModel:
     """Discrete-time model x_{k+1} = A x_k + B u_k, y_k = C x_k + D u_k."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    dt: float = 1.0 / 30.0
-    norm_params: NormalizationParams | None = None
 
     def __post_init__(self):
         for name in "ABCD":
@@ -94,31 +92,6 @@ class StateSpaceModel(JsonFile):
             params.append(CAk @ self.B)
             CAk = CAk @ self.A
         return params
-
-    def to_dict(self) -> dict:
-        doc = {
-            "order": self.order,
-            "dt": self.dt,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-            "spectral_radius": self.spectral_radius,
-            "flags": {"unstable": self.is_unstable},
-        }
-        if self.norm_params is not None:
-            doc["norm_params"] = self.norm_params.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "StateSpaceModel":
-        norm = doc.get("norm_params")
-        return cls(
-            A=np.array(doc["A"]), B=np.array(doc["B"]),
-            C=np.array(doc["C"]), D=np.array(doc["D"]),
-            dt=doc["dt"],
-            norm_params=NormalizationParams.from_dict(norm) if norm else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -279,9 +252,7 @@ def select_order(singular_values: np.ndarray, criterion: str = "energy",
 _COND_LIMIT = 1e12
 
 
-def realize(decomp: SubspaceDecomposition, order: int,
-            dt: float = 1.0 / 30.0,
-            norm_params: NormalizationParams | None = None) -> StateSpaceModel:
+def realize(decomp: SubspaceDecomposition, order: int) -> StateSpaceModel:
     """Recover (A, B, C, D) from the decomposition at the given order.
 
     C is the top block of the scaled observability estimate Ok; A solves
@@ -339,7 +310,7 @@ def realize(decomp: SubspaceDecomposition, order: int,
     D = DB[:m_out, :]
     B = DB[m_out:, :]
 
-    model = StateSpaceModel(A=A, B=B, C=C, D=D, dt=dt, norm_params=norm_params)
+    model = StateSpaceModel(A=A, B=B, C=C, D=D)
     if model.is_unstable:
         warnings.warn(
             f"identified model is unstable (spectral radius "
@@ -349,15 +320,13 @@ def realize(decomp: SubspaceDecomposition, order: int,
 
 def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
              criterion: str = "energy", energy: float = 0.85,
-             fixed: int | None = None, threshold: float | None = None,
-             dt: float = 1.0 / 30.0,
-             norm_params: NormalizationParams | None = None,
+             fixed: int | None = None, threshold: float | None = None
              ) -> tuple[StateSpaceModel, SubspaceDecomposition, int]:
     """Convenience wrapper: decompose, select order, realize."""
     decomp = moesp_decompose(inputs, outputs, block_rows)
     order = select_order(decomp.singular_values, criterion=criterion,
                          energy=energy, fixed=fixed, threshold=threshold)
-    model = realize(decomp, order, dt=dt, norm_params=norm_params)
+    model = realize(decomp, order)
     return model, decomp, order
 
 

@@ -54,7 +54,7 @@ def surrogate_dataset(seed=5, n_samples=6000, dt=0.5e-3):
     A = np.array([[0.995, 0.01, 0.0], [0.0, 0.99, 0.02], [0.0, 0.0, 0.985]])
     B = 0.3 * rng.standard_normal((3, 3))
     C = rng.standard_normal((3, 3))
-    true = sysid.StateSpaceModel(A=A, B=B, C=C, D=np.zeros((3, 3)), dt=dt)
+    true = sysid.StateSpaceModel(A=A, B=B, C=C, D=np.zeros((3, 3)))
     y = sysid.simulate(true, u)
     u = (u - u.min(0)) / (u.max(0) - u.min(0))
     y = (y - y.min(0)) / (y.max(0) - y.min(0))

@@ -242,7 +242,7 @@ def test_criterion_08_scenario_ordering():
     start = time.perf_counter()
     u, y, dt, _ = surrogate_dataset()
     dec = sysid.moesp_decompose(u, y, block_rows=12)
-    model = sysid.realize(dec, 3, dt=dt)
+    model = sysid.realize(dec, 3)
     scenarios = [s.with_seed(pipeline.derive_seed(0, i))
                  for i, s in enumerate(netsim.scenario_suite())]
     mean_acc = []
@@ -269,8 +269,8 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
              "set TELEKF_JIGSAWS_TRIAL to a trial CSV to enable")
     config = pipeline.ExperimentConfig(dataset=trial, block_rows=20,
                                        out_dir=str(tmp_path))
-    _, norm, params = pipeline._load_and_normalize(config)
-    model, _, _ = pipeline._identify(config, norm, params)
+    norm, _ = pipeline._load_and_normalize(config)
+    model, _, _ = pipeline._identify(config, norm)
     sc = netsim.scenario_suite()[2].with_seed(pipeline.derive_seed(0, 2))
     _, _, _, report = pipeline.run_scenario(
         model, (1e-4, 1e-4, 1), norm.inputs, norm.outputs, sc, norm.dt,

@@ -45,9 +45,26 @@ class TestIdentify:
         # offsets the signals, and the offset shows up as a DC state
         assert log["order"] == 3
         assert "order 3" in capsys.readouterr().out
-        model = sysid.StateSpaceModel.load(out / "model.json")
+        model, params = pipeline.load_model(out / "model.json")
         assert model.order == 3
-        assert model.norm_params is not None
+        assert params.outputs.names == ("y0", "y1")
+
+    def test_model_file_roundtrip(self, tmp_path, dataset_csv):
+        config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
+                                           block_rows=10,
+                                           out_dir=str(tmp_path / "out"))
+        result = pipeline.cmd_identify(config)
+        model, params = pipeline.load_model(result["paths"]["model"])
+        for name in "ABCD":
+            np.testing.assert_array_equal(getattr(model, name),
+                                          getattr(result["model"], name))
+        _, fitted = dataio.normalize(dataio.load_dataset(dataset_csv))
+        assert params.to_dict() == fitted.to_dict()
+        doc = json.loads(result["paths"]["model"].read_text())
+        assert list(doc) == ["order", "dt", "A", "B", "C", "D",
+                             "spectral_radius", "flags", "norm_params",
+                             "config_hash"]
+        assert doc["dt"] == pytest.approx(1 / 30)
 
     def test_log_records_lq_health(self, tmp_path, dataset_csv):
         # noise-free data: the Gram matrix is too ill-conditioned for
@@ -286,9 +303,9 @@ class TestSweep:
         assert docs["lossy"]["rows_changed"] > 0
         assert docs["again"]["scenario"]["label"] == "again"
 
-        model = sysid.StateSpaceModel.load(out / "model.json")
+        model, params = pipeline.load_model(out / "model.json")
         norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
-                                   params=model.norm_params)
+                                   params=params)
         config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=4)
         rows = (out / "sweep_summary.csv").read_text().splitlines()[2:]
         assert len(rows) == len(scenarios)
@@ -316,9 +333,9 @@ class TestSweep:
         assert main(["sweep", "--dataset", str(dataset_csv),
                      "--out", str(out), "--model", str(out / "model.json"),
                      "--seed", "5", "--scenarios", str(sc_path)]) == 0
-        model = sysid.StateSpaceModel.load(out / "model.json")
+        model, params = pipeline.load_model(out / "model.json")
         norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
-                                   params=model.norm_params)
+                                   params=params)
         config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=5)
         delays = {}
         for scenario in config.resolve_scenarios():
@@ -412,6 +429,22 @@ class TestErrors:
         assert rc == 2
         assert "cannot load StateSpaceModel" in capsys.readouterr().err
 
+    def test_model_without_norm_params_is_data_error(self, tmp_path,
+                                                     dataset_csv, capsys):
+        out = tmp_path / "o"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        del doc["norm_params"]
+        model = tmp_path / "bare.json"
+        model.write_text(json.dumps(doc))
+        for command in (["sweep", "--dataset"], ["validate",
+                                                 "--validation-dataset"]):
+            rc = main(command + [str(dataset_csv), "--model", str(model),
+                                 "--out", str(out)])
+            assert rc == 2
+            assert "cannot load StateSpaceModel" in capsys.readouterr().err
+
     def test_dataset_channels_must_match_saved_model(self, tmp_path,
                                                      dataset_csv, capsys):
         out = tmp_path / "o"
@@ -461,6 +494,16 @@ class TestErrors:
         rc = main(["sweep", "--dataset", str(dataset_csv), "--block-rows",
                    "10", "--scenarios", str(scen),
                    "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_scenarios_checked_before_dataset(self, tmp_path, capsys):
+        # the scenario list is a config error even when the dataset, and so
+        # the model, could never be loaded
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0}]))
+        rc = main(["sweep", "--dataset", str(tmp_path / "absent.csv"),
+                   "--scenarios", str(scen), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 

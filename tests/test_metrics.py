@@ -161,9 +161,8 @@ class TestReport:
             whiteness=[0.05, 0.07], n_samples=1200,
             metric_def="nrmse_range", burn_in=30)
         p = tmp_path / "report.json"
-        report.save(p)
-        with open(p) as f:
-            again = metrics.EstimationReport.from_dict(json.load(f))
+        p.write_text(json.dumps(report.to_dict()))
+        again = metrics.EstimationReport(**json.loads(p.read_text()))
         np.testing.assert_array_equal(again.rmse, report.rmse)
         np.testing.assert_array_equal(again.accuracy_pct, report.accuracy_pct)
         assert again.metric_def == report.metric_def

@@ -298,12 +298,3 @@ class TestModelProperties:
         m = sysid.StateSpaceModel(A=[[1.05]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         assert m.is_unstable
         assert m.spectral_radius == pytest.approx(1.05)
-
-    def test_json_roundtrip(self, rng, tmp_path):
-        m = random_stable_system(rng, 2, 1, 2)
-        p = tmp_path / "model.json"
-        m.save(p)
-        loaded = sysid.StateSpaceModel.load(p)
-        np.testing.assert_array_equal(loaded.A, m.A)
-        np.testing.assert_array_equal(loaded.D, m.D)
-        assert loaded.order == 2
