@@ -182,14 +182,14 @@ def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> np.ndarra
     """Stack ``block_rows`` time-shifted windows of ``series`` into a block
     Hankel matrix of shape (block_rows * m, columns).
 
-    series is (N, m); block row s (1-based), rows (s-1)*m .. s*m-1, holds
-    samples s .. s+columns-1 transposed into columns, so the matrix is
-    constant along anti-diagonals at block granularity.  Requires
-    N >= block_rows + columns - 1.
+    series is (N, m), or (N,) for one channel; block row s (1-based), rows
+    (s-1)*m .. s*m-1, holds samples s .. s+columns-1 transposed into
+    columns, so the matrix is constant along anti-diagonals at block
+    granularity.  Requires N >= block_rows + columns - 1.
     """
-    series = np.atleast_2d(np.asarray(series, dtype=float))
-    if series.shape[0] == 1 and series.shape[1] > 1:
-        series = series.T
+    series = np.asarray(series, dtype=float)
+    if series.ndim == 1:
+        series = series[:, None]
     n, m = series.shape
     if block_rows < 1 or columns < 1:
         raise DataError("block_rows and columns must be >= 1")

@@ -177,11 +177,12 @@ def fit_report(model: StateSpaceModel, inputs: np.ndarray,
 
 
 def calibrate_accuracy(pairs=REFERENCE_ACCURACY_PAIRS) -> dict:
-    """Score candidate accuracy formulas against published (RMSE, accuracy)
-    pairs and return them ranked by fit.
+    """Score the accuracy formulas of ACCURACY_METRICS that RMSE alone
+    determines against published (RMSE, accuracy) pairs and return them
+    ranked by fit, so "best" is always a metric accuracy_pct accepts.
 
-    Each candidate maps RMSE r to accuracy; range-normalized candidates get
-    their range parameter fitted by least squares.  The published pairs are
+    Each candidate maps RMSE r to accuracy; the range-normalized one gets
+    its range parameter fitted by least squares.  The published pairs are
     mutually inconsistent, so even the best candidate carries a nonzero
     residual; the result records it.
     """
@@ -199,10 +200,6 @@ def calibrate_accuracy(pairs=REFERENCE_ACCURACY_PAIRS) -> dict:
     if s > 0:
         candidates["nrmse_range"] = {
             "predicted": 100.0 * (1.0 - s * r), "params": {"range": 1.0 / s}}
-    # 100 (1 - c r^2): c fitted.
-    c = float(-(100.0 * r ** 2) @ y / ((100.0 * r ** 2) @ (100.0 * r ** 2)))
-    candidates["one_minus_c_rmse_sq"] = {
-        "predicted": 100.0 * (1.0 - c * r ** 2), "params": {"c": c}}
 
     scored = []
     for name, cand in candidates.items():

@@ -1,12 +1,15 @@
 """MOESP subspace identification of discrete-time state-space models.
 
-The pipeline: stack input and output block Hankel matrices, take the
-lower-triangular factor of an LQ decomposition (CholeskyQR2 on the Gram
-matrix of the two blocks, or a Householder QR of the transpose when the
-stack is too ill-conditioned for it), SVD the output-residual block to
-expose the system order, then recover C and A from the extended
-observability matrix and B, D from a least-squares system built out of
-the discarded left singular vectors and the L-factor partitions.
+The pipeline: take the lower-triangular factor of an LQ decomposition of
+the stacked input and output block Hankel matrices, SVD its
+output-residual block to expose the system order, then recover C and A
+from the extended observability matrix and B, D from a least-squares
+system built out of the discarded left singular vectors and the L-factor
+partitions.  The LQ step is CholeskyQR2 in two passes over the series
+that never hold the whole stack: the Gram matrix comes from lagged
+products of the series, and the second pass builds the stack _CHUNK
+Hankel columns at a time.  Only a stack too ill-conditioned for it is
+built whole, for a Householder QR of its transpose.
 simulate runs a model open loop through _affine_pass, the blocked affine
 recurrence that the Kalman filter's frozen-gain pass also uses.
 """
@@ -17,6 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .dataio import build_hankel
 from .errors import DataError, NumericalError
@@ -132,36 +136,109 @@ class SubspaceDecomposition:
 _CHOLQR_MAX_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
-def _lq_factor(U: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, str, float | None]:
-    """Lower-triangular L with diag(L) >= 0 such that [U; Y] = L Q, Q with
-    orthonormal rows; also the path taken and its condition estimate.
+def _stack_gram(inputs: np.ndarray, outputs: np.ndarray,
+                block_rows: int) -> np.ndarray:
+    """Gram matrix X X' of the stack X = [U; Y] of the input and output
+    block Hankel matrices (block_rows block rows, N - block_rows + 1
+    columns), formed from the series without building X.
 
-    CholeskyQR2 factors the Gram matrix built block by block from U and Y,
-    then repeats the factorization on Q = L1^-1 [U; Y].  When a Cholesky
-    step fails or the estimate ||L1||_1 ||L1^-1||_1 exceeds
-    _CHOLQR_MAX_COND (noise-free or rank-deficient data), a Householder
-    QR of the stacked transpose takes over, with its rows signed so both
-    paths return the same factor.
+    With s_t the row t of S = [inputs | outputs], block (i, k) of the Gram
+    of build_hankel(S) is H(i, k) = sum_j s_(i+j) s_(k+j)' over the cols
+    columns j.  Its first block row is block_rows lagged products of S.
+    Down each block diagonal, H(i+1, k+1) = H(i, k) - s_i s_k' +
+    s_(i+cols) s_(k+cols)', so one cumulative sum of these rank-one slides,
+    taken for all lags at once, gives the rest.  That is O(N d m^2) flops
+    for d = block_rows and m channels, against O(N d^2 m^2) for X X'.
     """
-    du = U.shape[0]
-    G = np.empty((du + Y.shape[0],) * 2)
-    G[:du, :du] = U @ U.T
-    G[du:, :du] = Y @ U.T
-    G[:du, du:] = G[du:, :du].T
-    G[du:, du:] = Y @ Y.T
+    d, m_in = block_rows, inputs.shape[1]
+    S = np.hstack([inputs, outputs])
+    cols, m = S.shape[0] - d + 1, S.shape[1]
+    # H[i, l] = H(i, i + l); only the entries with i + l < d are used.
+    H = np.empty((d, d, m, m))
+    np.matmul(S[:cols].T, sliding_window_view(S, (cols, m))[:d, 0], out=H[0])
+    # Slide t of lag l is -s_t s_(t+l)' + s_(t+cols) s_(t+l+cols)', from the
+    # rows that leave (edge[..., 0]) and enter (edge[..., 1]) the window.
+    # The zero rows past them reach only entries with i + l >= d.
+    edge = np.zeros((2 * d - 1, m, 2))
+    edge[:d - 1, :, 0] = S[:d - 1]
+    edge[:d - 1, :, 1] = S[cols:]
+    ends = (edge[:d - 1] * [-1.0, 1.0])[:, None]
+    lagged = sliding_window_view(edge, d, axis=0)[:d - 1].transpose(0, 3, 2, 1)
+    np.matmul(ends, lagged, out=H[1:])
+    np.cumsum(H, axis=0, out=H)
+
+    # V[i, k] = H[i, k - i] is block (i, k) on and above the block
+    # diagonal; below it, block (i, k) is V[k, i]' (there V itself reads
+    # H[i - 1, d + k - i], in bounds and unused).  Rows and columns of G
+    # run over U's block rows, then Y's.
+    s0, s1, s2, s3 = H.strides
+    V = as_strided(H, H.shape, (s0 - s1, s1, s2, s3), writeable=False)
+    above = np.triu(np.ones((d, d), dtype=bool))[:, :, None, None]
+    G = np.empty((d * m, d * m))
+    parts = ((slice(0, d * m_in), slice(0, m_in)),
+             (slice(d * m_in, None), slice(m_in, m)))
+    for rows, a in parts:
+        for columns, b in parts:
+            block = G[rows, columns]
+            block = block.reshape(d, block.shape[0] // d,
+                                  d, block.shape[1] // d).transpose(0, 2, 1, 3)
+            np.copyto(block, V.transpose(1, 0, 3, 2)[:, :, a, b])
+            np.copyto(block, V[:, :, a, b], where=above)
+    return G
+
+
+#: Hankel columns per chunk of _lq_factor's second pass.  A chunk holds
+#: its slices of U, Y and Q plus the W22 Y product, about 2.5 times the
+#: d (m_in + m_out) x _CHUNK doubles of one [U; Y] slice.  Of 256 .. 8192,
+#: 2048 and 4096 timed fastest on 36,000 x (6+6) samples at d = 20, and
+#: 512 about 10% slower; 2048 holds half the memory of 4096.  1,240 x
+#: (3+3) samples fit in one chunk; chunks of 512 saved 0.6 ms of 6 there.
+_CHUNK = 2048
+
+
+def _lq_factor(inputs: np.ndarray, outputs: np.ndarray, block_rows: int
+               ) -> tuple[np.ndarray, str, float | None]:
+    """Lower-triangular L with diag(L) >= 0 such that [U; Y] = L Q, Q with
+    orthonormal rows, for the block Hankel matrices U and Y of the inputs
+    and outputs; also the path taken and its condition estimate.
+
+    CholeskyQR2 in two passes over the series, neither of which holds the
+    whole stack.  The first factors the Gram matrix L1 L1' of [U; Y], which
+    _stack_gram forms from lagged products of the series.  The second
+    needs Q = L1^-1 [U; Y] only through Q Q', so it builds U and Y
+    _CHUNK columns at a time and sums the chunks' Q_c Q_c'; then
+    L = L1 chol(Q Q').  A wider chunk holds more memory, and _CHUNK is the
+    width that timed fastest on a long recording (see its comment).  When
+    a Cholesky step fails or the estimate ||L1||_1 ||L1^-1||_1 exceeds
+    _CHOLQR_MAX_COND (noise-free or rank-deficient data), a Householder QR
+    of the whole stacked transpose takes over, with its rows signed so
+    both paths return the same factor.
+    """
+    d = block_rows
+    cols = inputs.shape[0] - d + 1
+    G = _stack_gram(inputs, outputs, d)
+    du = d * inputs.shape[1]
     try:
         L1 = np.linalg.cholesky(G)
         W = np.linalg.inv(L1)
         cond_est = float(np.linalg.norm(L1, 1) * np.linalg.norm(W, 1))
         if cond_est <= _CHOLQR_MAX_COND:
-            # W is lower triangular: W [U; Y] = [W11 U; W21 U + W22 Y].
-            Q = np.empty((G.shape[0], U.shape[1]))
-            np.matmul(W[:du, :du], U, out=Q[:du])
-            np.matmul(W[du:, :du], U, out=Q[du:])
-            Q[du:] += W[du:, du:] @ Y
-            return L1 @ np.linalg.cholesky(Q @ Q.T), "cholesky_qr2", cond_est
+            QQ = np.zeros_like(G)
+            for start in range(0, cols, _CHUNK):
+                stop = min(start + _CHUNK, cols)
+                U = build_hankel(inputs[start:stop + d - 1], d, stop - start)
+                Y = build_hankel(outputs[start:stop + d - 1], d, stop - start)
+                # W is lower triangular: W [U; Y] = [W11 U; W21 U + W22 Y].
+                Q = np.empty((G.shape[0], stop - start))
+                np.matmul(W[:du, :du], U, out=Q[:du])
+                np.matmul(W[du:, :du], U, out=Q[du:])
+                Q[du:] += W[du:, du:] @ Y
+                QQ += Q @ Q.T
+            return L1 @ np.linalg.cholesky(QQ), "cholesky_qr2", cond_est
     except np.linalg.LinAlgError:
         cond_est = None
+    U = build_hankel(inputs, d, cols)
+    Y = build_hankel(outputs, d, cols)
     R = np.triu(np.linalg.qr(np.vstack([U, Y]).T, mode="r"))
     R[np.diag(R) < 0] *= -1.0
     return R.T, "householder", cond_est
@@ -169,7 +246,7 @@ def _lq_factor(U: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, str, float | N
 
 def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
                     block_rows: int = 20) -> SubspaceDecomposition:
-    """Form the input/output block Hankel stack, take its LQ factor (see
+    """Take the LQ factor of the input/output block Hankel stack (see
     _lq_factor) and SVD the output-residual block R22.
 
     inputs is (N, m_in), outputs (N, m_out), both normalized.  Needs at
@@ -190,11 +267,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
             f"need at least {2 * d * max(m_in, m_out) + 1} samples for "
             f"block_rows={d}, got {n_samples}")
 
-    cols = n_samples - d + 1
-    U = build_hankel(inputs, d, cols)
-    Y = build_hankel(outputs, d, cols)
-
-    L, lq_method, lq_cond_est = _lq_factor(U, Y)
+    L, lq_method, lq_cond_est = _lq_factor(inputs, outputs, d)
     du = d * m_in
     R11 = L[:du, :du]
     R21 = L[du:, :du]

@@ -305,6 +305,10 @@ class TestHankel:
         h = dataio.build_hankel(np.array([1.0, 2, 3]), 3, 1)
         np.testing.assert_array_equal(h, [[1], [2], [3]])
 
+    def test_one_sample_of_several_channels(self):
+        h = dataio.build_hankel(np.array([[1.0, 2.0, 3.0]]), 1, 1)
+        np.testing.assert_array_equal(h, [[1], [2], [3]])
+
     def test_jigsaws_scale_dimensions(self, rng):
         series = rng.standard_normal((1240, 3))
         h = dataio.build_hankel(series, 20, 1221)

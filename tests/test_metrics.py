@@ -196,3 +196,10 @@ class TestCalibration:
 
     def test_deterministic(self):
         assert metrics.calibrate_accuracy() == metrics.calibrate_accuracy()
+
+    def test_best_is_a_metric_accuracy_pct_accepts(self, rng):
+        best = metrics.calibrate_accuracy()["best"]
+        t = rng.uniform(0, 1, 50)
+        e = t + 0.01 * rng.standard_normal(50)
+        assert 0.0 <= metrics.accuracy_pct(e, t, best) <= 100.0
+        assert best in metrics.ACCURACY_METRICS

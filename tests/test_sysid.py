@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,13 +44,17 @@ class TestDecompose:
                                   rng.standard_normal((30, 1)), block_rows=20)
 
 
-def noisy_hankels(rng, n_samples, m_in, m_out, d, noise=0.1):
-    """Input and output block Hankel matrices of a random 4-state system
-    driven by white input, with white output noise of std ``noise``."""
+def noisy_series(rng, n_samples, m_in, m_out, noise=0.1):
+    """Inputs and outputs of a random 4-state system driven by white input,
+    with white output noise of std ``noise``."""
     true = random_stable_system(rng, 4, m_in, m_out)
     u = rng.standard_normal((n_samples, m_in))
     y = sysid.simulate(true, u) + noise * rng.standard_normal((n_samples, m_out))
-    cols = n_samples - d + 1
+    return u, y
+
+
+def hankels(u, y, d):
+    cols = u.shape[0] - d + 1
     return build_hankel(u, d, cols), build_hankel(y, d, cols)
 
 
@@ -60,27 +66,67 @@ def householder_lq(U, Y):
     return R.T
 
 
+class TestStackGram:
+    @pytest.mark.parametrize("m_in, m_out, d", [
+        (1, 1, 1), (1, 2, 1), (1, 1, 6), (2, 3, 1), (1, 3, 5), (3, 3, 20)])
+    def test_equals_gram_of_built_stack(self, rng, m_in, m_out, d):
+        # the fewest samples moesp_decompose accepts, and a longer series
+        for n_samples in (2 * d * max(m_in, m_out) + 1, 400):
+            u, y = noisy_series(rng, n_samples, m_in, m_out)
+            u += 0.5  # an offset, as min-max scaling leaves
+            X = np.vstack(hankels(u, y, d))
+            ref = X @ X.T
+            G = sysid._stack_gram(u, y, d)
+            assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+            np.testing.assert_array_equal(G, G.T)
+
+
 class TestLQFactor:
     @pytest.mark.parametrize("n_samples, m_in, m_out, d",
                              [(1240, 3, 3, 20), (2000, 1, 2, 8)])
     def test_noisy_data_takes_cholesky_qr2(self, rng, n_samples, m_in, m_out, d):
-        U, Y = noisy_hankels(rng, n_samples, m_in, m_out, d)
-        L, method, cond_est = sysid._lq_factor(U, Y)
+        u, y = noisy_series(rng, n_samples, m_in, m_out)
+        L, method, cond_est = sysid._lq_factor(u, y, d)
         assert method == "cholesky_qr2"
         assert cond_est <= sysid._CHOLQR_MAX_COND
         assert np.all(np.triu(L, 1) == 0)
         assert np.all(np.diag(L) >= 0)
-        ref = householder_lq(U, Y)
+        ref = householder_lq(*hankels(u, y, d))
         assert np.abs(L - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # 996 columns at d = 5: 7 leaves a ragged last chunk, 83 divides them,
+    # 995 leaves one column and 10,000 takes them in one chunk; at d = 1 the
+    # last chunk of 999 is one sample of the series
+    @pytest.mark.parametrize("d, chunk", [(5, 7), (5, 83), (5, 995),
+                                          (5, 10_000), (1, 999)])
+    def test_any_chunk_width_gives_the_same_factor(self, rng, monkeypatch,
+                                                   d, chunk):
+        u, y = noisy_series(rng, 1000, 2, 2)
+        monkeypatch.setattr(sysid, "_CHUNK", chunk)
+        L, method, _ = sysid._lq_factor(u, y, d)
+        assert method == "cholesky_qr2"
+        ref = householder_lq(*hankels(u, y, d))
+        assert np.abs(L - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_decompose_never_holds_the_whole_stack(self, rng):
+        d = 20
+        u, y = noisy_series(rng, 12 * sysid._CHUNK, 2, 2)
+        stack_bytes = d * (2 + 2) * (u.shape[0] - d + 1) * 8
+        tracemalloc.start()
+        try:
+            dec = sysid.moesp_decompose(u, y, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.lq_method == "cholesky_qr2"
+        assert peak < 0.5 * stack_bytes
 
     def test_noise_free_data_takes_householder(self, rng):
         u = rng.standard_normal((2000, 1))
         y = sysid.simulate(two_state_system(), u)
-        cols = 2000 - 10 + 1
-        U, Y = build_hankel(u, 10, cols), build_hankel(y, 10, cols)
-        L, method, _ = sysid._lq_factor(U, Y)
+        L, method, _ = sysid._lq_factor(u, y, 10)
         assert method == "householder"
-        np.testing.assert_array_equal(L, householder_lq(U, Y))
+        np.testing.assert_array_equal(L, householder_lq(*hankels(u, y, 10)))
         assert sysid.moesp_decompose(u, y, 10).lq_method == "householder"
 
     def test_singular_values_match_householder_over_noise_sweep(self, rng):
