@@ -19,6 +19,13 @@ from .errors import DataError
 DEFAULT_DT = 1.0 / 30.0
 
 
+def as_series(x) -> np.ndarray:
+    """A time series as an (N, m) float array of N samples of m channels;
+    a 1-D array is N samples of one channel."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(-1, 1) if x.ndim < 2 else x
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """Time-aligned master-side inputs and slave-side outputs.
@@ -35,8 +42,8 @@ class TrajectoryDataset:
     output_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
+        inputs = as_series(self.inputs)
+        outputs = as_series(self.outputs)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         if inputs.shape[0] != outputs.shape[0]:
@@ -100,7 +107,7 @@ class ChannelScaling:
         return self.maxs == self.mins
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = as_series(x)
         if x.shape[1] != self.mins.size:
             raise DataError(
                 f"expected {self.mins.size} channels, got {x.shape[1]}")
@@ -187,9 +194,7 @@ def build_hankel(series: np.ndarray, block_rows: int, columns: int) -> np.ndarra
     columns, so the matrix is constant along anti-diagonals at block
     granularity.  Requires N >= block_rows + columns - 1.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim == 1:
-        series = series[:, None]
+    series = as_series(series)
     n, m = series.shape
     if block_rows < 1 or columns < 1:
         raise DataError("block_rows and columns must be >= 1")

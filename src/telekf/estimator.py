@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import as_series
 from .errors import DataError, NumericalError
 from .sysid import StateSpaceModel, _affine_pass
 
@@ -229,12 +230,13 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     (gain_converged_step); the state pass is then x_k = M_k A x_{k-1}
     + M_k B u_{k-1} + G_k (z_k - D u_k) with M_k = I - G_k C, stepped once
     per sample up to gain_converged_step; past it M and G are constant,
-    and one blocked affine pass (sysid._affine_pass: one Python step per
-    _BLOCK samples, the block halved while a power of M A overflows) gives
-    the rest.  A non-positive innovation variance raises NumericalError
-    naming the sample.
+    and one blocked affine pass gives the rest (sysid._affine_pass: blocks
+    of _BLOCK samples, whose starts a nested pass on (M A)^_BLOCK carries
+    across on long streams; each level halves its block while one of its
+    powers overflows).  A non-positive innovation variance raises
+    NumericalError naming the sample.
     """
-    z_seq = np.atleast_2d(np.asarray(measurements, dtype=float))
+    z_seq = as_series(measurements)
     Bu, Du = model.input_terms(inputs)
     n_samples = Du.shape[0]
     if z_seq.shape[0] != n_samples:
@@ -294,7 +296,7 @@ def estimate_noise_empirical(
     """
     if iterations < 1:
         raise DataError("iterations must be >= 1")
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+    outputs = as_series(outputs)
     Bu, _ = model.input_terms(inputs)
     n_samples = outputs.shape[0]
     if n_samples < 2:

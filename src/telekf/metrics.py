@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import as_series
 from .errors import DataError
 from .sysid import StateSpaceModel, simulate
 
@@ -118,9 +119,7 @@ def innovation_whiteness(innovations: np.ndarray,
 def autocorrelations(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelation of each channel at lags 1..max_lag,
     shape (max_lag, channels)."""
-    x = np.atleast_2d(np.asarray(series, dtype=float))
-    if x.shape[0] == 1 and x.shape[1] > 1:
-        x = x.T
+    x = as_series(series)
     n = x.shape[0]
     if n <= max_lag:
         raise DataError("series shorter than max_lag")
@@ -142,8 +141,7 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
     ``burn_in`` samples from the error metrics and the whiteness (NaN
     when no innovations are given or too few remain)."""
     estimates, truth = _check_pair(estimates, truth)
-    estimates = np.atleast_2d(estimates)
-    truth = np.atleast_2d(truth)
+    estimates, truth = as_series(estimates), as_series(truth)
     if burn_in >= estimates.shape[0]:
         raise DataError(f"burn_in {burn_in} >= series length {estimates.shape[0]}")
     e, t = estimates[burn_in:], truth[burn_in:]
@@ -166,7 +164,7 @@ def fit_report(model: StateSpaceModel, inputs: np.ndarray,
                burn_in: int = 0) -> EstimationReport:
     """Open-loop validation: simulate the model on the given inputs and
     score the prediction against the given outputs per channel."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+    outputs = as_series(outputs)
     if outputs.shape[1] != model.m_out:
         raise DataError(
             f"validation outputs have {outputs.shape[1]} channels, "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import as_series
 from .errors import ConfigError, DataError
 
 
@@ -117,7 +118,7 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
     each sample draws its delay uniformly over the range instead of using
     the fixed nd_ms.
     """
-    clean = np.atleast_2d(np.asarray(clean, dtype=float))
+    clean = as_series(clean)
     if clean.shape[0] < 2:
         raise DataError("clean stream needs at least 2 rows")
     if dt <= 0:

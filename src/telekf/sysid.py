@@ -11,7 +11,9 @@ products of the series, and the second pass builds the stack _CHUNK
 Hankel columns at a time.  Only a stack too ill-conditioned for it is
 built whole, for a Householder QR of its transpose.
 simulate runs a model open loop through _affine_pass, the blocked affine
-recurrence that the Kalman filter's frozen-gain pass also uses.
+recurrence that the Kalman filter's frozen-gain pass also uses; on a long
+stream it solves its own block-start recurrence by a nested pass, so its
+Python steps number about N / _BLOCK^2 + _BLOCK rather than N / _BLOCK.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .dataio import build_hankel
+from .dataio import as_series, build_hankel
 from .errors import DataError, NumericalError
 
 
@@ -77,7 +79,7 @@ class StateSpaceModel:
     def input_terms(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For (N, m_in) inputs: B u_{k-1}, whose row k-1 drives x_k (N-1
         rows), and the feedthrough D u_k (N rows)."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        inputs = as_series(inputs)
         if inputs.shape[1] != self.m_in:
             raise DataError(
                 f"input has {inputs.shape[1]} channels, model expects {self.m_in}")
@@ -253,8 +255,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     least 2 * block_rows * max(m_in, m_out) + 1 samples so the LQ step is
     well posed.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+    inputs, outputs = as_series(inputs), as_series(outputs)
     if inputs.ndim != 2 or outputs.ndim != 2:
         raise DataError("inputs and outputs must be 2-D")
     if inputs.shape[0] != outputs.shape[0]:
@@ -406,8 +407,18 @@ def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
 #: Samples per block in _affine_pass.  Its Python steps fall as 1/L while
 #: the Toeplitz matmul's flops grow as L n^2 per sample; for orders 2 to 6
 #: over 10,000 to 36,000 samples, 32 timed at or near the fastest of
-#: L = 8 .. 128.
+#: L = 8 .. 128 with the block starts looped.  With them nested
+#: (_NEST_ABOVE), 16 timed 7-25% faster than 32 at those lengths; 32
+#: stays, since any other L changes the last bits of every pass.
 _BLOCK = 32
+
+#: _affine_pass solves its block starts with a nested pass above this many
+#: blocks and loops over them at or below it.  A nested level costs _BLOCK
+#: more n x n products and one more Toeplitz build.  Against the loop, for
+#: orders 2, 3 and 6 (best of 15 runs): +0 / +4 / +12% at 39 blocks (1,240
+#: samples), -23 / -23 / -7% at 64, -60 / -58 / -36% at 313 (10,000
+#: samples) and -61 / -46 / -22% at 1,125 (36,000 samples).
+_NEST_ABOVE = 64
 
 
 def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -415,26 +426,37 @@ def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     Works on blocks of L = _BLOCK samples.  With the powers F^0..F^L, one
     matmul by the block lower-triangular Toeplitz map T (block (i, j) is
-    F^(i-j) for i >= j) gives each block's response from a zero start; a
-    loop over the block boundaries only carries the state across,
-    s_b = F^L s_{b-1} + (last row of block b-1's response); one matmul adds
-    F^i s_b back in.  No power above F^L is formed, so this is not a
-    doubling scan.  L is halved until F^0..F^L are all finite, so that a
-    growing mode with zero state never meets inf * 0; at L = 1 this is
-    the plain step loop.
+    F^(i-j) for i >= j) gives each block's response from a zero start.
+    The block starts follow s_b = F^L s_{b-1} + (last row of block b-1's
+    response), a recurrence of the same form with one step per block:
+    past _NEST_ABOVE blocks a nested _affine_pass on F^L solves it, else a
+    loop over the block boundaries; one matmul then adds F^i s_b back in.
+    Every level multiplies only finite powers: it forms its own F^0..F^L
+    (the next level's are F^0, F^L, .., F^(L L)) and halves its own L
+    while any of them overflows, so that a growing mode with zero state
+    never meets inf * 0.  Nothing is squared across the stream, so this is
+    not a doubling or associative scan; at L = 1 it is the plain step loop.
     """
     n, m = F.shape[0], h.shape[0]
     powers = np.empty((_BLOCK + 1, n, n))
     powers[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(_BLOCK):
-            np.matmul(F, powers[i], out=powers[i + 1])
+            # np.dot: same values as matmul, which is slower on n x n
+            np.dot(F, powers[i], out=powers[i + 1])
     L = _BLOCK
     while L > 1 and not np.all(np.isfinite(powers[:L + 1])):
         L //= 2
-    lag = np.subtract.outer(np.arange(L), np.arange(L))
-    T = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0.0)
-    T = T.transpose(0, 2, 1, 3).reshape(L * n, L * n)
+    # Block row i of T is the L n columns of R = [F^(L-1) .. F^1 F^0 0 .. 0]
+    # from R's block L-1-i on.  T is copied out contiguous even at n = 1,
+    # where a view would do: a matmul on the negative-stride view sums in
+    # another order.
+    R = np.zeros((n, (2 * L - 1) * n))
+    R[:, :L * n].reshape(n, L, n)[...] = powers[L - 1::-1].transpose(1, 0, 2)
+    row_stride, col_stride = R.strides
+    T = np.ascontiguousarray(as_strided(
+        R[:, (L - 1) * n:], (L, n, L * n),
+        (-n * col_stride, row_stride, col_stride))).reshape(L * n, L * n)
 
     blocks = -(-m // L)
     out = np.zeros((blocks * L + 1, n))
@@ -442,11 +464,14 @@ def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
     out[1:m + 1] = h
     rows = out[1:].reshape(blocks, L * n)
     zero_start = rows @ T.T
-    starts = np.empty((blocks, n))
-    s, FL = out[0], powers[L]
-    for b, end in enumerate(zero_start[:, -n:]):
-        starts[b] = s
-        s = FL @ s + end
+    ends = zero_start[:-1, -n:]
+    if L > 1 and blocks > _NEST_ABOVE:
+        starts = _affine_pass(powers[L], out[0], ends)
+    else:
+        starts = np.concatenate([out[:1], ends])[:blocks]
+        carried = list(starts)
+        for prev, row in zip(carried, carried[1:]):
+            row += np.dot(powers[L], prev)
     # row b of starts @ [F^1' .. F^L'] is block b's free response
     np.matmul(starts, powers[1:L + 1].transpose(2, 0, 1).reshape(n, L * n),
               out=rows)

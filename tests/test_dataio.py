@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from telekf import dataio
+from telekf import dataio, estimator, metrics, netsim, sysid
 from telekf.errors import DataError
+
+from conftest import random_stable_system
 
 
 def write_csv(path, text):
@@ -339,3 +341,66 @@ class TestHankel:
         for s in range(4):  # block row s is rows 2s and 2s+1
             np.testing.assert_array_equal(h[2 * s + 2:2 * s + 4, :-1],
                                           h[2 * s:2 * s + 2, 1:])
+
+
+class TestAsSeries:
+    def test_one_dimensional_is_one_channel(self):
+        x = dataio.as_series([1, 2, 3])
+        assert x.dtype == float
+        np.testing.assert_array_equal(x, [[1.0], [2.0], [3.0]])
+
+    def test_two_dimensional_passes_through(self):
+        row = np.array([[1.0, 2.0, 3.0]])
+        assert dataio.as_series(row) is row
+
+
+def _one_channel_entry_points():
+    """Every entry point that takes a time series, as a function of one
+    input series u and one output series y."""
+    rng = np.random.default_rng(2)
+    model = random_stable_system(rng, 2, 1, 1)
+    noise = estimator.NoiseModel.initial(2, 1)
+    scaling = dataio.ChannelScaling("input", ("u",), [-1.0], [3.0])
+    scenario = netsim.NetworkScenario(40.0, 20.0, 0.05, seed=3)
+
+    def dataset(u, y):
+        ds = dataio.TrajectoryDataset(u, y)
+        return ds.inputs, ds.outputs
+
+    def filter_run(u, y):
+        run = estimator.run_filter(model, noise, u, y)
+        return run.estimates, run.innovations, run.states
+
+    def bootstrap(u, y):
+        found = estimator.estimate_noise_empirical(model, u, y)
+        return found.Q, found.R
+
+    return {
+        "TrajectoryDataset": dataset,
+        "ChannelScaling.apply": lambda u, y: scaling.apply(u),
+        "build_hankel": lambda u, y: dataio.build_hankel(u, 5, 100),
+        "moesp_decompose":
+            lambda u, y: sysid.moesp_decompose(u, y, 5).singular_values,
+        "input_terms": lambda u, y: model.input_terms(u),
+        "simulate": lambda u, y: sysid.simulate(model, u),
+        "run_filter": filter_run,
+        "estimate_noise_empirical": bootstrap,
+        "autocorrelations": lambda u, y: metrics.autocorrelations(y, 10),
+        "report_run":
+            lambda u, y: metrics.report_run(0.9 * y, y, y).to_dict(),
+        "fit_report": lambda u, y: metrics.fit_report(model, u, y).to_dict(),
+        "impair": lambda u, y: netsim.impair(y, scenario, 1 / 30).observed,
+    }
+
+
+class TestOneChannelSeries:
+    """A 1-D series is N samples of one channel at every entry point."""
+
+    @pytest.mark.parametrize("name", list(_one_channel_entry_points()))
+    def test_same_as_one_column(self, name):
+        entry = _one_channel_entry_points()[name]
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(500)
+        y = (np.convolve(u, [0.5, 0.3, 0.1])[:500]
+             + 0.1 * rng.standard_normal(500))
+        np.testing.assert_equal(entry(u, y), entry(u[:, None], y[:, None]))

@@ -290,7 +290,8 @@ class TestSimulate:
 class TestAffinePass:
     @pytest.mark.parametrize("radius", [0.9, 1.05])
     @pytest.mark.parametrize("n", [1, 3, 6])
-    @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 1000])
+    # 2049 and 5000 steps nest the block starts (65 and 157 blocks)
+    @pytest.mark.parametrize("n_steps", [0, 1, 31, 32, 33, 1000, 2049, 5000])
     def test_matches_step_loop(self, rng, n_steps, n, radius):
         F = rng.standard_normal((n, n))
         F *= radius / np.max(np.abs(np.linalg.eigvals(F)))
@@ -315,6 +316,50 @@ class TestAffinePass:
         assert np.all(np.isfinite(got))
         np.testing.assert_array_equal(got[:, 1], 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("nest_above", [0, 1, 2, 5])
+    @pytest.mark.parametrize("n_steps", [0, 1, 32, 33, 1000, 5000])
+    def test_any_nesting_depth_matches_step_loop(self, rng, monkeypatch,
+                                                 nest_above, n_steps):
+        # a low threshold nests down to levels of one or no block
+        monkeypatch.setattr(sysid, "_NEST_ABOVE", nest_above)
+        F = rng.standard_normal((3, 3))
+        F *= 0.99 / np.max(np.abs(np.linalg.eigvals(F)))
+        x0 = rng.standard_normal(3)
+        h = rng.standard_normal((n_steps, 3))
+        ref = step_loop(F, x0, h)
+        got = sysid._affine_pass(F, x0, h)
+        assert got.shape == (n_steps + 1, 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_overflowing_inner_power_halves_the_inner_block(self, rng):
+        # F^32 is finite, so the outer blocks keep 32 samples; the nested
+        # pass on F^32 would form F^1024, which overflows, and the second
+        # mode has zero state and input
+        F = np.diag([0.5, 4.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(np.linalg.matrix_power(F, sysid._BLOCK)).all()
+            assert not np.isfinite(
+                np.linalg.matrix_power(F, sysid._BLOCK ** 2)).all()
+        h = np.column_stack([rng.standard_normal(5000), np.zeros(5000)])
+        assert -(-5000 // sysid._BLOCK) > sysid._NEST_ABOVE
+        got = sysid._affine_pass(F, np.array([1.0, 0.0]), h)
+        ref = step_loop(F, [1.0, 0.0], h)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got[:, 1], 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_criterion_11_length_stays_on_one_level(self, rng, monkeypatch):
+        # 1,240 samples (39 blocks) loop over their block starts: nesting
+        # there timed slower, and would move the sweep's last bits
+        F = rng.standard_normal((3, 3))
+        F *= 0.95 / np.max(np.abs(np.linalg.eigvals(F)))
+        x0 = rng.standard_normal(3)
+        h = rng.standard_normal((1239, 3))
+        got = sysid._affine_pass(F, x0, h)
+        monkeypatch.setattr(sysid, "_NEST_ABOVE", np.inf)
+        np.testing.assert_array_equal(got, sysid._affine_pass(F, x0, h))
 
 
 class TestModelProperties:
