@@ -83,8 +83,7 @@ class StateSpaceModel:
         if inputs.shape[1] != self.m_in:
             raise DataError(
                 f"input has {inputs.shape[1]} channels, model expects {self.m_in}")
-        # np.dot: same values as @, which is ~5x slower for one input channel
-        return np.dot(inputs[:-1], self.B.T), np.dot(inputs, self.D.T)
+        return _map_rows(self.B, inputs[:-1]), _map_rows(self.D, inputs)
 
     def markov_parameters(self, count: int) -> list[np.ndarray]:
         """Impulse-response coefficients: D, CB, CAB, CA^2 B, ...
@@ -408,8 +407,9 @@ def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
 #: the Toeplitz matmul's flops grow as L n^2 per sample; for orders 2 to 6
 #: over 10,000 to 36,000 samples, 32 timed at or near the fastest of
 #: L = 8 .. 128 with the block starts looped.  With them nested
-#: (_NEST_ABOVE), 16 timed 7-25% faster than 32 at those lengths; 32
-#: stays, since any other L changes the last bits of every pass.
+#: (_NEST_ABOVE), 16 took 3-20% less time than 32 on orders 2 / 3 / 6 over
+#: 1,240 to 36,000 samples (medians of 41 alternating calls); 32 stays,
+#: since any other L changes the last bits of every pass.
 _BLOCK = 32
 
 #: _affine_pass solves its block starts with a nested pass above this many
@@ -419,6 +419,21 @@ _BLOCK = 32
 #: samples), -23 / -23 / -7% at 64, -60 / -58 / -36% at 313 (10,000
 #: samples) and -61 / -46 / -22% at 1,125 (36,000 samples).
 _NEST_ABOVE = 64
+
+
+def _map_rows(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X M' for a tall (N, k) series X and a small (j, k) matrix M: M
+    applied to each row of X.
+
+    np.dot against a contiguous copy of M' is the fastest form OpenBLAS
+    offers for these shapes: @ is slow against a one-wide operand (73
+    against 8 us at 10,000 x 1 by 1 x 1), and both @ and np.dot are slow
+    against any transposed small operand (94 / 102 against 33 us at
+    10,000 x 2 by 2 x 2, 195 / 214 against 81 us at 12,000 x 6 by 6 x 6).
+    The bits equal X @ M.T while M has at most 15 columns; from 16 on,
+    OpenBLAS splits the sums differently and the last bits can move.
+    """
+    return np.dot(X, np.ascontiguousarray(M.T))
 
 
 def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -442,7 +457,9 @@ def _affine_pass(F: np.ndarray, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
     powers[0] = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(_BLOCK):
-            # np.dot: same values as matmul, which is slower on n x n
+            # np.dot: same values as matmul, which is slower on n x n.  A
+            # doubling chain rounds differently: 3e-11 off the step loop
+            # at spectral radius 1.05.
             np.dot(F, powers[i], out=powers[i + 1])
     L = _BLOCK
     while L > 1 and not np.all(np.isfinite(powers[:L + 1])):
@@ -487,4 +504,4 @@ def simulate(model: StateSpaceModel, inputs: np.ndarray,
     Bu, Du = model.input_terms(inputs)
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    return _affine_pass(model.A, x, Bu) @ model.C.T + Du
+    return _map_rows(model.C, _affine_pass(model.A, x, Bu)) + Du

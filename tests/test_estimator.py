@@ -269,6 +269,52 @@ class TestGainSchedule:
             x0=[0.3, 0.0], P0=np.diag([1.0, 0.0]))
         assert run.gain_converged_step is not None
 
+    @pytest.mark.parametrize("seed", range(300, 306))
+    def test_freeze_step_ignores_the_last_bits_of_q(self, seed):
+        # the criterion-11 shape: 3 states, 3 in, 3 out, 1,240 samples, Q
+        # from the bootstrap; a freeze test of a few ulps moved the step
+        # (or lost it) on 1-3 ulp changes of Q here
+        rng = np.random.default_rng(seed)
+        model = random_stable_system(rng, 3, 3, 3)
+        u = rng.standard_normal((1240, 3))
+        z = simulate_noisy(model, u, 1e-4 * np.eye(3), 1e-4 * np.eye(3), rng)
+        noise = estimator.estimate_noise_empirical(model, u, z)
+        eps = np.finfo(float).eps
+        steps = {estimator._gain_schedule(model.A, model.C,
+                                          noise.Q * (1 + k * eps),
+                                          np.diag(noise.R), np.eye(3),
+                                          1240)[1]
+                 for k in range(4)}
+        assert len(steps) == 1 and None not in steps
+
+    def test_slow_closed_loop_stays_near_the_never_frozen_filter(
+            self, monkeypatch):
+        rng = np.random.default_rng(7)
+        model = sysid.StateSpaceModel(A=[[0.995, 0.1], [0.0, 0.5]],
+                                      B=[[1.0], [0.5]], C=[[1.0, 0.0]],
+                                      D=[[0.0]])
+        noise = estimator.NoiseModel(Q=1e-5 * np.eye(2), R=[[1.0]])
+        u = 0.1 * rng.standard_normal((3000, 1))
+        z = simulate_noisy(model, u, noise.Q, noise.R, rng)
+        estimator._cached_schedule.cache_clear()
+        run = estimator.run_filter(model, noise, u, z)
+        G, frozen_at = estimator._gain_schedule(
+            model.A, model.C, noise.Q, np.diag(noise.R), np.eye(2), 3000)
+        assert frozen_at == run.gain_converged_step is not None
+        closed = (np.eye(2) - G[-1] @ model.C) @ model.A
+        assert np.max(np.abs(np.linalg.eigvals(closed))) >= 0.99
+        # a negative tolerance never freezes: one gain per sample
+        monkeypatch.setattr(estimator, "_FREEZE_RTOL", -1.0)
+        estimator._cached_schedule.cache_clear()
+        try:
+            ref = estimator.run_filter(model, noise, u, z)
+        finally:
+            estimator._cached_schedule.cache_clear()
+        assert ref.gain_converged_step is None
+        # measured 3.8e-13 of the largest estimate
+        err = np.abs(run.estimates - ref.estimates).max()
+        assert err <= 1e-11 * np.abs(ref.estimates).max()
+
     def test_degenerate_noise_names_the_sample(self, rng):
         # NumericalError is what the CLI reports with exit code 3
         model = random_stable_system(rng, 2, 1, 1)

@@ -117,6 +117,24 @@ class TestWhiteness:
         with pytest.raises(DataError):
             metrics.innovation_whiteness(np.zeros(5), 10)
 
+    @pytest.mark.parametrize("max_lag", [0, -1])
+    def test_lag_below_one_rejected(self, max_lag):
+        x = np.random.default_rng(0).standard_normal((50, 2))
+        with pytest.raises(DataError, match="max_lag"):
+            metrics.autocorrelations(x, max_lag)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_autocorrelations_match_per_lag_sums(self, rng, channels):
+        x = rng.standard_normal((1230, channels)) + rng.uniform(-2, 2, channels)
+        c = x - x.mean(axis=0)
+        ref = np.array([[np.sum(c[lag:, j] * c[:-lag, j]) / np.sum(c[:, j] ** 2)
+                         for j in range(channels)] for lag in range(1, 11)])
+        got = metrics.autocorrelations(x, 10)
+        assert got.shape == (10, channels)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(metrics.autocorrelations(x[:, 0], 10),
+                                      metrics.autocorrelations(x[:, :1], 10))
+
 
 class TestFitReport:
     def test_self_validation_noise_free(self, rng):
@@ -172,6 +190,14 @@ class TestReport:
             metrics.EstimationReport(rmse=[0.1], accuracy_pct=[90.0],
                                      whiteness=[0.1], n_samples=10,
                                      metric_def="")
+
+    def test_report_run_takes_innovations_as_a_list(self, rng):
+        e, t = rng.uniform(0, 1, (2, 60, 2))
+        innov = rng.standard_normal((60, 2))
+        got = metrics.report_run(e, t, innovations=innov.tolist(), burn_in=5)
+        want = metrics.report_run(e, t, innovations=innov, burn_in=5)
+        np.testing.assert_array_equal(got.whiteness, want.whiteness)
+        assert np.all(np.isfinite(got.whiteness))
 
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (20,), elements=st.floats(0, 1)),
