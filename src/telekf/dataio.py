@@ -3,11 +3,21 @@
 Datasets are plain CSV with a header row naming channels by role:
 ``t,u:<name>,...,y:<name>,...``.  The time column is optional; when absent
 the sample period comes from the caller (default 30 Hz).
+
+Parsing and formatting CSV numbers is bound by the interpreter (``strtod``
+and ``repr`` under the GIL), so a long table is cut into one part per
+usable CPU and each part past the first runs in a forked child
+(``_in_parts``).  The parts give the same array or bytes as one serial
+pass; any failure redoes the whole job serially, so error messages are
+the serial ones too.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -53,8 +63,8 @@ class TrajectoryDataset:
             )
         if inputs.shape[0] < 2:
             raise DataError("dataset needs at least 2 rows")
-        if self.dt <= 0:
-            raise DataError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise DataError(f"dt must be positive and finite, got {self.dt}")
         for name, arr in (("inputs", inputs), ("outputs", outputs)):
             if not np.all(np.isfinite(arr)):
                 r, c = np.argwhere(~np.isfinite(arr))[0]
@@ -244,6 +254,163 @@ def _find_bad_cell(path, header: list[str]) -> str | None:
     return None
 
 
+#: Bytes of CSV text below which a part does not repay its fork.  A fork
+#: from a ~90 MB process costs about 4.6 ms, and parsing or formatting a
+#: MiB of numbers takes 30-40 ms, so a part repays its fork several times;
+#: a 1,240-row table of the criterion-11 shape (~0.2 MB) stays in one part.
+_PART_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(n: int, nbytes: int) -> list[int]:
+    """Bounds 0 = c0 < ... < ck = n cutting n items, about ``nbytes`` of
+    CSV text, into k equal parts: one per usable CPU, each of at least
+    _PART_BYTES."""
+    k = max(1, min(_usable_cpus(), nbytes // _PART_BYTES, n))
+    return [n * i // k for i in range(k + 1)]
+
+
+def _child(part, lo: int, hi: int, out: int, pipes: list[int]) -> None:
+    """Run ``part(lo, hi)`` in a forked child, write its bytes to the
+    ``out`` pipe and leave by os._exit, with status 0 only on success.
+
+    The child is fork-safe although the parent may have threads (BLAS
+    workers): it only parses or formats text, which takes no lock another
+    thread could hold at the fork (numpy's text I/O calls no BLAS, and the
+    C library resets malloc's locks in the child).  It touches none of the
+    parent's file objects, and os._exit skips the exit handlers, buffer
+    flushes and finalizers that would repeat the parent's.
+    """
+    status = 1
+    try:
+        # every read end the child inherited, so that when the parent
+        # closes one its writer gets EPIPE instead of blocking
+        for fd in pipes:
+            os.close(fd)
+        data = part(lo, hi)
+        with open(out, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _in_parts(bounds: list[int], part) -> list[bytes] | None:
+    """Run ``part(lo, hi) -> bytes`` over each range between successive
+    ``bounds``: the first in this process, each other in a forked child
+    that pipes its bytes back.  Returns the bytes in order, or None, for
+    the caller to redo the whole job serially, when there is one part or
+    no os.fork, or a pipe, a fork or any part fails (a part fails by
+    raising OSError or ValueError).  Every child is reaped."""
+    if len(bounds) < 3 or not hasattr(os, "fork"):
+        return None
+    pipes, pids, out = [], [], None
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on forking a process that has threads;
+            # _child says why these children are safe
+            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                read, write = os.pipe()
+                pipes.append(read)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child(part, lo, hi, write, pipes)
+                    pids.append(pid)
+                finally:
+                    os.close(write)
+        out = [part(bounds[0], bounds[1])]
+        for fd in pipes:
+            with open(fd, "rb", closefd=False) as f:
+                out.append(f.read())
+    except (OSError, ValueError):
+        out = None
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            if os.waitpid(pid, 0)[1]:
+                out = None
+    return out
+
+
+class _Window(io.RawIOBase):
+    """Bytes lo..hi of a file, read as a stream of their own.  A double
+    quote among them raises ValueError: it could open a cell that spans
+    the line end a cut was placed after."""
+
+    def __init__(self, path, lo: int, hi: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(lo)
+        self._left = hi - lo
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = self._file.read(min(len(buf), self._left))
+        if b'"' in data:
+            raise ValueError("a quoted cell may span a part boundary")
+        self._left -= len(data)
+        buf[:len(data)] = data
+        return len(data)
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """CSV numbers in load_dataset's dialect as a 2-D array."""
+    with warnings.catch_warnings():
+        # an empty body is reported by the caller as too few rows
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)
+
+
+def _load_parts(path, encoding: str, width: int) -> np.ndarray | None:
+    """The body of a CSV dataset parsed in parts (_in_parts) cut at line
+    starts, or None when it is to be parsed serially: the file is short
+    or not a regular file, its header is not one plain LF or CRLF line,
+    its body has no line feed past the first cut (CR line ends), or a
+    part fails."""
+    st = os.stat(path)
+    cuts = _cuts(st.st_size, st.st_size)
+    if not stat.S_ISREG(st.st_mode) or len(cuts) < 3:
+        return None
+    with open(path, "rb") as f:
+        head = f.readline(_PART_BYTES)
+        if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
+            return None  # the header record may not end at this line feed
+        bounds = [len(head), st.st_size]
+        for cut in cuts[1:-1]:
+            f.seek(cut - 1)
+            while (chunk := f.readline(_PART_BYTES)) and chunk[-1:] != b"\n":
+                pass
+            bounds.append(f.tell())
+
+    def parse(lo: int, hi: int) -> bytes:
+        window = io.BufferedReader(_Window(path, lo, hi))
+        with io.TextIOWrapper(window, encoding=encoding, newline="") as lines:
+            part = _loadtxt(lines)
+        if part.size and part.shape[1] != width:  # a blank part is (0, 1)
+            raise ValueError("part rows differ in width from the header")
+        return part.tobytes()
+
+    parts = _in_parts(sorted(set(bounds)), parse)
+    if parts is None:
+        return None
+    return np.concatenate([np.frombuffer(p) for p in parts]).reshape(-1, width)
+
+
 def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     """Load a trajectory dataset from CSV.
 
@@ -273,16 +440,13 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
         y_idx = [i for i, name in enumerate(header) if name[:2] == "y:"]
         if not u_idx or not y_idx:
             raise DataError(f"{path}: need at least one u: and one y: column")
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported below as too few rows
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(f, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2)
-        except ValueError as exc:
-            where = _find_bad_cell(path, header) or exc
-            raise DataError(f"{path}: {where}") from exc
+        data = _load_parts(path, f.encoding, len(header))
+        if data is None:
+            try:
+                data = _loadtxt(f)
+            except ValueError as exc:
+                where = _find_bad_cell(path, header) or exc
+                raise DataError(f"{path}: {where}") from exc
     if data.shape[0] < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
     if data.shape[1] != len(header):
@@ -319,16 +483,26 @@ def write_table(path, columns: list[str], rows: list[list],
     CSV line per row of Python numbers (as from ``ndarray.tolist()``), led
     by its index counted from ``first_index`` unless that is None.  Cells
     are ``repr`` with CRLF line ends: the bytes ``csv.writer`` gives for
-    ``repr(float(v))`` cells."""
+    ``repr(float(v))`` cells.  A long table is formatted in parts
+    (_in_parts), with the same bytes."""
+    def lines(lo: int, hi: int) -> str:
+        if first_index is None:
+            return "".join(f"{','.join(map(repr, r))}\r\n"
+                           for r in rows[lo:hi])
+        return "".join(f"{k},{','.join(map(repr, r))}\r\n"
+                       for k, r in enumerate(rows[lo:hi], first_index + lo))
+
+    n = len(rows)
+    parts = _in_parts(_cuts(n, n * len(lines(0, 1))),
+                      lambda lo, hi: lines(lo, hi).encode())
     with open(path, "w", newline="") as f:
         if stamp is not None:
             f.write(stamp + "\n")
         csv.writer(f).writerow(columns)
-        if first_index is None:
-            f.write("".join(f"{','.join(map(repr, r))}\r\n" for r in rows))
+        if parts is None:
+            f.write(lines(0, n))
         else:
-            f.write("".join(f"{k},{','.join(map(repr, r))}\r\n"
-                            for k, r in enumerate(rows, first_index)))
+            f.writelines(part.decode() for part in parts)
 
 
 def save_dataset(dataset: TrajectoryDataset, path) -> None:

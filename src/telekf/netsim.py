@@ -57,8 +57,10 @@ class NetworkScenario:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
         """Build a scenario from its JSON form; a missing, non-numeric or
-        out-of-range delay, jitter or loss entry, or a delay_range_ms that
-        is not two finite numbers 0 <= lo <= hi, is a ConfigError."""
+        out-of-range delay, jitter or loss entry, a delay_range_ms that is
+        not two finite numbers 0 <= lo <= hi, or a label that is not one
+        file-name component (it names the scenario's output files) is a
+        ConfigError."""
         try:
             if "np" in doc:
                 loss = float(doc["np"])
@@ -77,8 +79,14 @@ class NetworkScenario:
                     raise ConfigError(
                         f"delay_range_ms must be two finite numbers "
                         f"0 <= lo <= hi, got {doc['delay_range_ms']!r}")
+            label = doc.get("label", "")
+            if (not isinstance(label, str) or label in (".", "..")
+                    or any(c in label for c in "/\\\0")):
+                raise ConfigError(
+                    f"label must be one file-name component, without / or "
+                    f"\\ or NUL and not . or .., got {label!r}")
             return cls(nd_ms=nd_ms, nj_ms=nj_ms, loss_prob=loss, seed=seed,
-                       delay_range_ms=rng, label=doc.get("label", ""))
+                       delay_range_ms=rng, label=label)
         except KeyError as exc:
             raise ConfigError(f"scenario needs {exc}") from None
         except (TypeError, ValueError, DataError) as exc:
@@ -121,8 +129,8 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
     clean = as_series(clean)
     if clean.shape[0] < 2:
         raise DataError("clean stream needs at least 2 rows")
-    if dt <= 0:
-        raise DataError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise DataError(f"dt must be positive and finite, got {dt}")
     n = clean.shape[0]
 
     jitter_ss, loss_ss, delay_ss = np.random.SeedSequence(scenario.seed).spawn(3)

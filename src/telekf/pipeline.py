@@ -68,8 +68,12 @@ class ExperimentConfig:
                  "order_criterion": crit in ("energy", "fixed", "threshold"),
                  "energy": crit != "energy" or 0 < self.energy <= 1,
                  "fixed_order": crit != "fixed" or (self.fixed_order or 0) >= 1,
-                 "order_threshold": (crit != "threshold"
-                                     or self.order_threshold is not None),
+                 "order_threshold": (
+                     np.isfinite(self.order_threshold)
+                     if self.order_threshold is not None
+                     else crit != "threshold"),
+                 # NaN fails every comparison, so it is rejected with inf
+                 "dt": self.dt is None or 0 < self.dt < np.inf,
                  "eps_q": self.eps_q > 0, "eps_r": self.eps_r > 0,
                  "bootstrap_iterations": self.bootstrap_iterations >= 1,
                  "burn_in": self.burn_in is None or self.burn_in >= 0}
@@ -115,16 +119,28 @@ def _stamp(config: ExperimentConfig) -> str:
 
 
 def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
-    """Write ``doc`` as JSON stamped with the config hash, which follows
-    doc's own keys (or keeps its place when doc has one), then ``extra``."""
+    """Write ``doc`` as strict JSON stamped with the config hash, which
+    follows doc's own keys (or keeps its place when doc has one), then
+    ``extra``; a non-finite float is written as null."""
+    doc = {**doc, "config_hash": config.config_hash, **extra}
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float; the walk is paid only then
+        text = json.dumps(_finite_or_none(doc), indent=2, allow_nan=False)
     with open(path, "w") as f:
-        json.dump({**doc, "config_hash": config.config_hash, **extra}, f,
-                  indent=2)
+        f.write(text)
 
 
-def _finite_or_none(x: float | None) -> float | None:
-    """JSON has no inf/nan: write a non-finite value as null."""
-    return x if x is not None and np.isfinite(x) else None
+def _finite_or_none(doc):
+    """JSON has no inf/nan: ``doc`` with every non-finite float in its
+    dicts and lists made None, to be written as null."""
+    if isinstance(doc, dict):
+        return {k: _finite_or_none(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_finite_or_none(v) for v in doc]
+    if isinstance(doc, float) and not np.isfinite(doc):
+        return None
+    return doc
 
 
 def _load_and_normalize(config: ExperimentConfig):
@@ -180,8 +196,8 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "warnings": list(decomp.warnings),
         "n_singular_values": int(ss.size),
         "lq_method": decomp.lq_method,
-        "lq_cond_est": _finite_or_none(decomp.lq_cond_est),
-        "cond_r11": _finite_or_none(decomp.cond_r11),
+        "lq_cond_est": decomp.lq_cond_est,
+        "cond_r11": decomp.cond_r11,
     }
     log_path = out / "identify_log.json"
     _write_json(log_path, config, log)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ def surrogate_dataset(seed=5, n_samples=6000, dt=0.5e-3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped (POSIX only): the
+    forked CSV parts must all be waited for, on every path."""
+    yield
+    if os.name != "posix":
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(running)'} "
+                f"unreaped")
 
 
 # One line per acceptance criterion, echoed after the run summary so the

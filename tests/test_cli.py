@@ -175,6 +175,32 @@ class TestValidate:
         assert rc == 1
 
 
+class TestStrictJson:
+    def test_reports_parse_without_nan_or_infinity(self, tmp_path,
+                                                  dataset_csv,
+                                                  validation_csv):
+        # open-loop validation has no innovations, so its whiteness is NaN
+        # in memory and null on disk
+        out = str(tmp_path / "out")
+        model = str(tmp_path / "out" / "model.json")
+        for argv in (["identify", "--dataset", str(dataset_csv)],
+                     ["validate", "--model", model, "--validation-dataset",
+                      str(validation_csv)],
+                     ["sweep", "--model", model, "--dataset",
+                      str(dataset_csv)],
+                     ["calibrate-accuracy"]):
+            assert main(argv + ["--out", out, "--block-rows", "10"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        reports = sorted((tmp_path / "out").glob("*.json"))
+        assert len(reports) == 10  # model, log, fit, calibration, 6 sweep
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse)
+                for p in reports}
+        assert docs["fit_report.json"]["whiteness"] == [None, None]
+
+
 class TestSweep:
     def test_end_to_end(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
@@ -497,6 +523,23 @@ class TestErrors:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", [
+        "sub/dir", "../escaped", ".", "..", "back\\slash", "nul\0", 5],
+        ids=["slash", "parent", "dot", "dotdot", "backslash", "nul",
+             "not_string"])
+    def test_label_must_be_one_file_name(self, tmp_path, dataset_csv,
+                                         capsys, label):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                                     "label": label}]))
+        rc = main(["sweep", "--dataset", str(dataset_csv), "--block-rows",
+                   "10", "--scenarios", str(scen),
+                   "--out", str(tmp_path / "o" / "p")])
+        assert rc == 1
+        assert "one file-name component" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()
+                    and p.name not in ("scen.json", "train.csv")]
+
     def test_scenarios_checked_before_dataset(self, tmp_path, capsys):
         # the scenario list is a config error even when the dataset, and so
         # the model, could never be loaded
@@ -539,10 +582,17 @@ class TestErrors:
         ({"energy": 0.0}, [], "energy=0.0"),
         ({"energy": -0.5}, [], "energy=-0.5"),
         ({}, ["--block-rows", "0"], "block_rows=0"),
+        ({}, ["--dt", "nan"], "dt=nan"),
+        ({}, ["--dt", "inf"], "dt=inf"),
+        ({}, ["--dt", "-1"], "dt=-1.0"),
+        ({"order_criterion": "threshold", "order_threshold": float("nan")},
+         [], "order_threshold=nan"),
+        ({"order_threshold": float("inf")}, [], "order_threshold=inf"),
     ], ids=["metric", "iterations", "eps_q", "eps_r", "criterion",
             "fixed_without_order", "threshold_without_ratio", "burn_in",
             "order_zero", "energy_above_one", "energy_zero",
-            "energy_negative", "block_rows_zero"])
+            "energy_negative", "block_rows_zero", "dt_nan", "dt_inf",
+            "dt_negative", "threshold_nan", "threshold_inf"])
     def test_invalid_config_value_stops_sweep(self, tmp_path, dataset_csv,
                                               capsys, doc, args, message):
         # checked once, up front: no scenario runs and no summary is written

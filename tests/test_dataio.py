@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -18,6 +19,25 @@ from conftest import random_stable_system
 def write_csv(path, text):
     path.write_text(text)
     return path
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Cut tables into parts of a few bytes, three at most, and record the
+    pid of every child forked."""
+    monkeypatch.setattr(dataio, "_PART_BYTES", 16)
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
 
 
 class TestLoadDataset:
@@ -47,6 +67,15 @@ class TestLoadDataset:
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\nnan,4\n")
         with pytest.raises(DataError, match="non-finite value at row 2, column 0"):
             dataio.load_dataset(p)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_dt_is_data_error(self, tmp_path, dt):
+        with pytest.raises(DataError, match="positive and finite"):
+            dataio.TrajectoryDataset(inputs=np.zeros(3), outputs=np.ones(3),
+                                     dt=dt)
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\n3,4\n")
+        with pytest.raises(DataError, match="positive and finite"):
+            dataio.load_dataset(p, dt=dt)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
@@ -98,18 +127,41 @@ class TestLoaderDialect:
         "blank_lines": "\n0.0,1.5,-2,3e-3\n\n0.25,4,5.25,-6\n\n\n0.5,7,8,9\n",
         "padded": " 0.0 , 1.5,\t-2 ,3e-3\n0.25,  4,5.25 , -6\n0.5,7,8,9  \n",
         "quoted": '"0.0","1.5",-2,"3e-3"\n0.25,4," 5.25",-6\n0.5,7,8,"9"\n',
+        "cr": "0.0,1.5,-2,3e-3\r0.25,4,5.25,-6\r0.5,7,8,9\r",
     }
+
+    def write(self, path, kind):
+        newline = {"crlf": "\r\n", "cr": "\r"}.get(kind, "\n")
+        path.write_bytes((self.HEADER + newline + self.BODIES[kind]).encode())
+        return path
 
     @pytest.mark.parametrize("kind", sorted(BODIES))
     def test_matches_row_parser(self, tmp_path, kind):
-        newline = "\r\n" if kind == "crlf" else "\n"
-        p = tmp_path / "d.csv"
-        p.write_bytes((self.HEADER + newline + self.BODIES[kind]).encode())
+        p = self.write(tmp_path / "d.csv", kind)
         ds = dataio.load_dataset(p)
         ref = old_parse(p)
         np.testing.assert_array_equal(ds.inputs, ref[:, 1:2])
         np.testing.assert_array_equal(ds.outputs, ref[:, 2:])
         assert ds.dt == 0.25
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_parts_match_row_parser(self, tmp_path, forks, kind):
+        p = self.write(tmp_path / "d.csv", kind)
+        ds = dataio.load_dataset(p)
+        ref = old_parse(p)
+        np.testing.assert_array_equal(ds.inputs, ref[:, 1:2])
+        np.testing.assert_array_equal(ds.outputs, ref[:, 2:])
+        parts = dataio._load_parts(p, "utf-8", 4)
+        if kind == "cr":
+            # no line feed to cut at: one serial part, no fork
+            assert not forks and parts is None
+        elif kind == "quoted":
+            # a quote could hide a line end, so the parts give way to one
+            # serial pass
+            assert forks and parts is None
+        else:
+            assert forks
+            np.testing.assert_array_equal(parts, ref)
 
     @pytest.mark.parametrize("body", [
         "1,2\n3,4,5\n6,7\n",     # ragged row
@@ -197,26 +249,88 @@ class TestWriteTable:
             writer.writerow(lead + [repr(float(v)) for v in row])
         return buf.getvalue().encode()
 
-    @pytest.mark.parametrize("stamp,first_index", [
+    CASES = pytest.mark.parametrize("stamp,first_index", [
         ("# config_hash=abc metric_def=nrmse_range", 0),
         (None, 1),
         (None, None),
     ])
-    def test_bytes_match_csv_writer(self, tmp_path, stamp, first_index):
+
+    def write(self, path, stamp, first_index):
         table = np.array(self.VALUES).reshape(4, 3)
         columns = ["a", "b", "c"] if first_index is None else \
             ["k", "a", "b", "c"]
-        p = tmp_path / "t.csv"
-        dataio.write_table(p, columns, table.tolist(), stamp=stamp,
+        dataio.write_table(path, columns, table.tolist(), stamp=stamp,
                            first_index=first_index)
-        assert p.read_bytes() == self.reference(columns, table, stamp,
-                                                first_index)
+        return self.reference(columns, table, stamp, first_index)
+
+    @CASES
+    def test_bytes_match_csv_writer(self, tmp_path, stamp, first_index):
+        p = tmp_path / "t.csv"
+        assert self.write(p, stamp, first_index) == p.read_bytes()
+
+    @CASES
+    def test_parts_match_csv_writer(self, tmp_path, forks, stamp,
+                                    first_index):
+        p = tmp_path / "t.csv"
+        assert self.write(p, stamp, first_index) == p.read_bytes()
+        assert len(forks) == 2
 
     def test_integer_cells_stay_integers(self, tmp_path):
         p = tmp_path / "t.csv"
         dataio.write_table(p, ["k", "x", "src", "lost"],
                            [[0.5, 3, 0], [-0.0, 0, 1]])
         assert p.read_bytes() == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
+
+
+class TestParts:
+    """Failures in a part give way to one serial pass of the whole job,
+    with its array, bytes and error messages."""
+
+    ROWS = [f"{k},{k % 7}" for k in range(30)]
+
+    @pytest.mark.parametrize("row", [2, 27], ids=["parent", "child"])
+    @pytest.mark.parametrize("bad, message", [
+        ("1,x", "non-numeric value 'x' at row {r}, column 1 (y:b)"),
+        ("1,2,3", "data row {r} has 3 fields, expected 2"),
+    ], ids=["non_numeric", "ragged"])
+    def test_bad_row_gives_serial_message(self, tmp_path, forks, row, bad,
+                                          message):
+        rows = list(self.ROWS)
+        rows[row] = bad
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + "\n".join(rows))
+        with pytest.raises(DataError, match=re.escape(
+                message.format(r=row + 1))):
+            dataio.load_dataset(p)
+        assert len(forks) == 2
+
+    def test_rows_wider_than_header_give_serial_message(self, tmp_path,
+                                                        forks):
+        # every part is rectangular, but not as wide as the header
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n"
+                      + "\n".join(f"{row},0" for row in self.ROWS))
+        with pytest.raises(DataError,
+                           match="data rows have 3 fields, expected 2"):
+            dataio.load_dataset(p)
+        assert len(forks) == 2
+
+    def test_failing_fork_falls_back_to_serial(self, tmp_path, monkeypatch):
+        p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + "\n".join(self.ROWS))
+        serial = dataio.load_dataset(p)
+        rows = np.hstack([serial.inputs, serial.outputs]).tolist()
+        dataio.write_table(tmp_path / "serial.csv", ["k", "a", "b"], rows)
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(dataio, "_PART_BYTES", 16)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        ds = dataio.load_dataset(p)
+        np.testing.assert_array_equal(ds.inputs, serial.inputs)
+        np.testing.assert_array_equal(ds.outputs, serial.outputs)
+        dataio.write_table(tmp_path / "t.csv", ["k", "a", "b"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == \
+            (tmp_path / "serial.csv").read_bytes()
 
 
 class TestNormalize:

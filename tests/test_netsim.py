@@ -93,8 +93,10 @@ class TestImpair:
     def test_preconditions(self):
         with pytest.raises(DataError):
             netsim.impair(np.zeros((1, 1)), netsim.NetworkScenario(0, 0, 0), DT)
-        with pytest.raises(DataError):
-            netsim.impair(np.zeros((5, 1)), netsim.NetworkScenario(0, 0, 0), 0.0)
+        for dt in (0.0, np.nan, np.inf):
+            with pytest.raises(DataError, match="positive and finite"):
+                netsim.impair(np.zeros((5, 1)),
+                              netsim.NetworkScenario(0, 0, 0), dt)
 
     def test_sampled_delay_range(self):
         clean = ramp(2000)
