@@ -97,10 +97,9 @@ class TrajectoryDataset:
 
 @dataclass(frozen=True)
 class ChannelScaling:
-    """Per-channel min/max statistics for one role (input or output)."""
+    """Per-channel min/max statistics for one role (input or output); the
+    channel names stay with the dataset."""
 
-    role: str  # "input" | "output"
-    names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
 
@@ -136,39 +135,6 @@ class NormalizationParams:
     inputs: ChannelScaling
     outputs: ChannelScaling
 
-    def to_dict(self) -> dict:
-        entries = []
-        for sc in (self.inputs, self.outputs):
-            for i, name in enumerate(sc.names):
-                entries.append({
-                    "name": name,
-                    "role": sc.role,
-                    "min": float(sc.mins[i]),
-                    "max": float(sc.maxs[i]),
-                    "constant": bool(sc.constant[i]),
-                })
-        return {"channels": entries}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NormalizationParams":
-        by_role = {"input": [], "output": []}
-        for e in doc["channels"]:
-            by_role[e["role"]].append(e)
-        scalings = {}
-        for role, entries in by_role.items():
-            scalings[role] = ChannelScaling(
-                role=role,
-                names=tuple(e["name"] for e in entries),
-                mins=np.array([e["min"] for e in entries]),
-                maxs=np.array([e["max"] for e in entries]),
-            )
-        return cls(inputs=scalings["input"], outputs=scalings["output"])
-
-
-def _fit_scaling(x: np.ndarray, names: tuple[str, ...], role: str) -> ChannelScaling:
-    return ChannelScaling(role=role, names=names,
-                          mins=x.min(axis=0), maxs=x.max(axis=0))
-
 
 def normalize(
     dataset: TrajectoryDataset,
@@ -176,15 +142,14 @@ def normalize(
 ) -> tuple[TrajectoryDataset, NormalizationParams]:
     """Min-max scale each channel into [0, 1]: x' = (x - min) / (max - min).
 
-    Constant channels map to 0 and are flagged in the returned params.
-    Pass precomputed ``params`` to reuse identification-split statistics on
-    validation data.
+    Constant channels map to 0 and are flagged by ``constant`` in the
+    returned params.  Pass precomputed ``params`` to reuse
+    identification-split statistics on validation data.
     """
     if params is None:
-        params = NormalizationParams(
-            inputs=_fit_scaling(dataset.inputs, dataset.input_names, "input"),
-            outputs=_fit_scaling(dataset.outputs, dataset.output_names, "output"),
-        )
+        params = NormalizationParams(*(
+            ChannelScaling(x.min(axis=0), x.max(axis=0))
+            for x in (dataset.inputs, dataset.outputs)))
     scaled = TrajectoryDataset(
         inputs=params.inputs.apply(dataset.inputs),
         outputs=params.outputs.apply(dataset.outputs),

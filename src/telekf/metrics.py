@@ -163,17 +163,18 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
 
 def fit_report(model: StateSpaceModel, inputs: np.ndarray,
                outputs: np.ndarray, metric_def: str = DEFAULT_METRIC,
-               burn_in: int = 0) -> EstimationReport:
+               burn_in: int = 0) -> tuple[np.ndarray, EstimationReport]:
     """Open-loop validation: simulate the model on the given inputs and
-    score the prediction against the given outputs per channel."""
+    score the prediction against the given outputs per channel; returns
+    the prediction and its report."""
     outputs = as_series(outputs)
     if outputs.shape[1] != model.m_out:
         raise DataError(
             f"validation outputs have {outputs.shape[1]} channels, "
             f"model expects {model.m_out}")
     predicted = simulate(model, inputs)
-    return report_run(predicted, outputs, metric_def=metric_def,
-                      burn_in=burn_in)
+    return predicted, report_run(predicted, outputs, metric_def=metric_def,
+                                 burn_in=burn_in)
 
 
 def calibrate_accuracy(pairs=REFERENCE_ACCURACY_PAIRS) -> dict:

@@ -160,25 +160,40 @@ def _burn_in(config: ExperimentConfig, model: sysid.StateSpaceModel) -> int:
     return 10 * model.order if config.burn_in is None else config.burn_in
 
 
+def _out_dir(config: ExperimentConfig) -> Path:
+    """Create the output directory; commands call this once their inputs
+    have loaded, so a rejected run leaves no directory behind."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_identify(config: ExperimentConfig) -> dict:
     """Identify a model from the config's dataset.
 
-    Writes model.json (read back by load_model; its "dt" is the
-    dataset's and only informational), singular_values.csv (scree data)
-    and identify_log.json into the output directory.
+    Writes model.json (read back by load_model), singular_values.csv
+    (scree data) and identify_log.json into the output directory.  Each
+    "norm_params" channel entry holds a channel's name, role ("input" or
+    "output"), min, max and whether it is constant; like "dt" (the
+    dataset's), the names and flags are only informational.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     norm, params = _load_and_normalize(config)
     model, decomp, order = _identify(config, norm)
+    out = _out_dir(config)
 
+    channels = [{"name": name, "role": role, "min": float(lo),
+                 "max": float(hi), "constant": bool(lo == hi)}
+                for role, names, sc in (
+                    ("input", norm.input_names, params.inputs),
+                    ("output", norm.output_names, params.outputs))
+                for name, lo, hi in zip(names, sc.mins, sc.maxs)]
     model_path = out / "model.json"
     _write_json(model_path, config, {
         "order": model.order, "dt": norm.dt, "A": model.A.tolist(),
         "B": model.B.tolist(), "C": model.C.tolist(), "D": model.D.tolist(),
         "spectral_radius": model.spectral_radius,
         "flags": {"unstable": model.is_unstable},
-        "norm_params": params.to_dict()})
+        "norm_params": {"channels": channels}})
 
     scree_path = out / "singular_values.csv"
     dataio.write_table(scree_path, ["index", "singular_value"],
@@ -208,13 +223,20 @@ def cmd_identify(config: ExperimentConfig) -> dict:
 def load_model(path) -> tuple[sysid.StateSpaceModel,
                               dataio.NormalizationParams]:
     """Read the matrices and normalization params of a model.json written
-    by cmd_identify; an unreadable file or a malformed document is a
-    DataError."""
+    by cmd_identify, grouping the channel entries' min and max by role;
+    an unreadable file or a malformed document is a DataError."""
     try:
         with open(path) as f:
             doc = json.load(f)
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
-        return model, dataio.NormalizationParams.from_dict(doc["norm_params"])
+        by_role = {"input": ([], []), "output": ([], [])}
+        for entry in doc["norm_params"]["channels"]:
+            mins, maxs = by_role[entry["role"]]
+            mins.append(entry["min"])
+            maxs.append(entry["max"])
+        return model, dataio.NormalizationParams(
+            *(dataio.ChannelScaling(*by_role[role])
+              for role in ("input", "output")))
     except (OSError, AttributeError, KeyError, TypeError,
             ValueError) as exc:  # ValueError: JSONDecodeError, non-numbers
         raise DataError(
@@ -287,8 +309,6 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     scenario's reuse that scenario's bootstrap, filter run and run CSV;
     their reports name it in ``same_stream_as``.  Labels must be unique,
     since each names its scenario's files."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
@@ -299,6 +319,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         if not config.dataset:
             raise ConfigError("sweep needs a dataset (for inputs and truth)")
         norm = _in_model_units(config.dataset, model, params, config.dt)
+    out = _out_dir(config)
     burn_in = _burn_in(config, model)
     noise_cfg = (config.eps_q, config.eps_r, config.bootstrap_iterations)
 
@@ -371,19 +392,16 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
 def cmd_validate(config: ExperimentConfig) -> dict:
     """Score a model open loop on a validation dataset; writes
     fit_report.json and an estimate-vs-truth CSV."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model, params, _ = _get_model(config)
     if not config.validation_dataset:
         raise ConfigError("config has no validation_dataset path")
     norm = _in_model_units(config.validation_dataset, model, params,
                            config.dt)
+    predicted, report = metrics.fit_report(
+        model, norm.inputs, norm.outputs, metric_def=config.metric_def,
+        burn_in=_burn_in(config, model))
 
-    predicted = sysid.simulate(model, norm.inputs)
-    report = metrics.report_run(predicted, norm.outputs,
-                                metric_def=config.metric_def,
-                                burn_in=_burn_in(config, model))
-
+    out = _out_dir(config)
     report_path = out / "fit_report.json"
     _write_json(report_path, config, report.to_dict())
 
@@ -400,8 +418,6 @@ def cmd_validate(config: ExperimentConfig) -> dict:
 def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     """Channel-only dry run: impair the dataset's outputs under one
     scenario and export the observed stream."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     norm, _ = _load_and_normalize(config)
     scenarios = config.resolve_scenarios()
     if not 0 <= scenario_index < len(scenarios):
@@ -410,7 +426,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     scenario = scenarios[scenario_index]
     stream = netsim.impair(norm.outputs, scenario, norm.dt,
                            sample_delay_range=config.sample_delay_range)
-    path = out / "impaired.csv"
+    path = _out_dir(config) / "impaired.csv"
     cols = (["k"] + [f"obs_{n}" for n in norm.output_names]
             + ["source_index", "lost"])
     rows = [obs + [src, lost] for obs, src, lost in zip(
@@ -423,9 +439,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
 def cmd_calibrate_accuracy(config: ExperimentConfig) -> dict:
     """Score candidate accuracy formulas against the published pairs and
     write the ranking."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = metrics.calibrate_accuracy()
-    path = out / "accuracy_calibration.json"
+    path = _out_dir(config) / "accuracy_calibration.json"
     _write_json(path, config, result)
     return {"result": result, "path": path}

@@ -365,16 +365,12 @@ def realize(decomp: SubspaceDecomposition, order: int) -> StateSpaceModel:
 
     # Block column j of M1 equals L1_j D + [L1_{j+1} .. L1_d] Ok[:(d-j)m_out] B;
     # stack all d block equations and solve for [D; B] jointly.
-    rows = L1.shape[0]
     L_blocks = []
     M_blocks = []
     for j in range(d):
         Lj = L1[:, j * m_out:(j + 1) * m_out]
-        tail = L1[:, (j + 1) * m_out:]
-        if tail.shape[1]:
-            GB = tail @ Ok[:(d - j - 1) * m_out, :]
-        else:
-            GB = np.zeros((rows, n))
+        # the last block's tail is empty, so its product is all zeros
+        GB = L1[:, (j + 1) * m_out:] @ Ok[:(d - j - 1) * m_out, :]
         L_blocks.append(np.hstack([Lj, GB]))
         M_blocks.append(M1[:, j * m_in:(j + 1) * m_in])
     L_mat = np.vstack(L_blocks)

@@ -41,13 +41,19 @@ class TestIdentify:
         assert (out / "model.json").exists()
         assert (out / "singular_values.csv").exists()
         log = json.loads((out / "identify_log.json").read_text())
-        # two true states plus one constant-tracking mode: min-max scaling
-        # offsets the signals, and the offset shows up as a DC state
-        assert log["order"] == 3
-        assert "order 3" in capsys.readouterr().out
-        model, params = pipeline.load_model(out / "model.json")
-        assert model.order == 3
-        assert params.outputs.names == ("y0", "y1")
+        assert f"order {log['order']}," in capsys.readouterr().out
+        model, _ = pipeline.load_model(out / "model.json")
+        assert model.order == log["order"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: min-max scaling leaves each channel an "
+               "offset, and MOESP spends a third state on it")
+    def test_true_order_of_noise_free_plant(self, tmp_path, dataset_csv):
+        config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
+                                           block_rows=10,
+                                           out_dir=str(tmp_path / "out"))
+        assert pipeline.cmd_identify(config)["order"] == 2
 
     def test_model_file_roundtrip(self, tmp_path, dataset_csv):
         config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
@@ -59,12 +65,65 @@ class TestIdentify:
             np.testing.assert_array_equal(getattr(model, name),
                                           getattr(result["model"], name))
         _, fitted = dataio.normalize(dataio.load_dataset(dataset_csv))
-        assert params.to_dict() == fitted.to_dict()
+        for got, want in ((params.inputs, fitted.inputs),
+                          (params.outputs, fitted.outputs)):
+            np.testing.assert_array_equal(got.mins, want.mins)
+            np.testing.assert_array_equal(got.maxs, want.maxs)
         doc = json.loads(result["paths"]["model"].read_text())
         assert list(doc) == ["order", "dt", "A", "B", "C", "D",
                              "spectral_radius", "flags", "norm_params",
                              "config_hash"]
         assert doc["dt"] == pytest.approx(1 / 30)
+
+    def test_norm_params_roundtrip(self, tmp_path, dataset_csv):
+        # a constant output channel is flagged on disk and still scales to 0
+        ds = dataio.load_dataset(dataset_csv)
+        outputs = np.hstack([ds.outputs, np.full((ds.n_samples, 1), 2.5)])
+        path = tmp_path / "flat.csv"
+        dataio.save_dataset(dataio.TrajectoryDataset(
+            inputs=ds.inputs, outputs=outputs, dt=ds.dt), path)
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(path), "--out", str(out),
+                     "--block-rows", "10"]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["norm_params"]["channels"] == [
+            {"name": name, "role": role, "min": lo, "max": hi,
+             "constant": lo == hi}
+            for role, names, x in (("input", ("u0", "u1"), ds.inputs),
+                                   ("output", ("y0", "y1", "y2"), outputs))
+            for name, lo, hi in zip(names, x.min(0).tolist(),
+                                    x.max(0).tolist())]
+        assert [e["constant"] for e in doc["norm_params"]["channels"]] == [
+            False, False, False, False, True]
+        _, params = pipeline.load_model(out / "model.json")
+        _, fitted = dataio.normalize(dataio.load_dataset(path))
+        for got, want in ((params.inputs, fitted.inputs),
+                          (params.outputs, fitted.outputs)):
+            np.testing.assert_array_equal(got.mins, want.mins)
+            np.testing.assert_array_equal(got.maxs, want.maxs)
+        assert list(params.outputs.constant) == [False, False, True]
+        assert np.all(params.outputs.apply(outputs)[:, 2] == 0.0)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda e: e.update(role="state"), "cannot load StateSpaceModel"),
+        (lambda e: e.pop("min"), "cannot load StateSpaceModel"),
+        (lambda e: e.update(max=-1e9), "channel max below min"),
+    ], ids=["unknown_role", "missing_min", "max_below_min"])
+    def test_bad_norm_params_is_data_error(self, tmp_path, dataset_csv,
+                                           validation_csv, capsys, spoil,
+                                           message):
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(out), "--block-rows", "10"]) == 0
+        doc = json.loads((out / "model.json").read_text())
+        spoil(doc["norm_params"]["channels"][1])
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", "--model", str(model),
+                     "--validation-dataset", str(validation_csv),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_log_records_lq_health(self, tmp_path, dataset_csv):
         # noise-free data: the Gram matrix is too ill-conditioned for
@@ -431,6 +490,26 @@ class TestErrors:
     def test_no_dataset_is_config_error(self, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sweep", "--dataset", "{data}", "--scenarios", "{scen}"], 1),
+        (["identify"], 1),
+        (["identify", "--dataset", "{tmp}/absent.csv"], 2),
+        (["validate", "--dataset", "{data}"], 1),
+        (["impair", "--dataset", "{data}", "--scenario-index", "9"], 1),
+    ], ids=["sweep_bad_label", "identify_no_dataset",
+            "identify_missing_file", "validate_no_validation_set",
+            "impair_bad_index"])
+    def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
+                                               argv, code):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                                     "label": "a/b"}]))
+        argv = [a.format(data=dataset_csv, scen=scen, tmp=tmp_path)
+                for a in argv]
+        out = tmp_path / "o" / "p"
+        assert main(argv + ["--block-rows", "10", "--out", str(out)]) == code
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -141,7 +141,8 @@ class TestFitReport:
         model = random_stable_system(rng, 2, 2, 2)
         u = rng.standard_normal((500, 2))
         y = sysid.simulate(model, u)
-        report = metrics.fit_report(model, u, y)
+        predicted, report = metrics.fit_report(model, u, y)
+        np.testing.assert_array_equal(predicted, y)
         assert np.all(report.accuracy_pct > 99.9)
         assert report.metric_def == "nrmse_range"
 
@@ -150,7 +151,7 @@ class TestFitReport:
                                       C=np.zeros((1, 2)), D=np.zeros((1, 1)))
         u = rng.standard_normal((300, 1))
         y = rng.uniform(0, 1, (300, 1))
-        report = metrics.fit_report(model, u, y)
+        _, report = metrics.fit_report(model, u, y)
         zero_acc = metrics.accuracy_pct(np.zeros(300), y.ravel())
         assert report.accuracy_pct[0] == pytest.approx(zero_acc)
 
@@ -161,8 +162,8 @@ class TestFitReport:
         model = sysid.realize(sysid.moesp_decompose(u_id, y_id, 8), 2)
         u_val = rng.standard_normal((2000, 1))
         y_val = sysid.simulate(true, u_val)
-        acc_id = metrics.fit_report(model, u_id, y_id).accuracy_pct[0]
-        acc_val = metrics.fit_report(model, u_val, y_val).accuracy_pct[0]
+        acc_id = metrics.fit_report(model, u_id, y_id)[1].accuracy_pct[0]
+        acc_val = metrics.fit_report(model, u_val, y_val)[1].accuracy_pct[0]
         assert abs(acc_id - acc_val) < 2.0
 
     def test_channel_mismatch(self, rng):
