@@ -16,40 +16,40 @@ from . import pipeline
 from .errors import ConfigError, DataError, NumericalError
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON experiment config file")
-    p.add_argument("--dataset", help="identification dataset CSV")
-    p.add_argument("--out", dest="out_dir", help="output directory")
-    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-    p.add_argument("--metric", dest="metric_def",
-                   help="accuracy metric definition")
-    p.add_argument("--dt", type=float, help="sample period in seconds")
-    p.add_argument("--block-rows", type=int, dest="block_rows",
-                   help="Hankel block rows (default 20)")
-    p.add_argument("--order", type=int, dest="fixed_order",
-                   help="force a fixed model order")
-    p.add_argument("--burn-in", type=int, dest="burn_in",
-                   help="samples excluded from error metrics")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON experiment config file")
+    common.add_argument("--dataset", help="identification dataset CSV")
+    common.add_argument("--out", dest="out_dir", help="output directory")
+    common.add_argument("--seed", type=int, dest="master_seed",
+                        help="master seed")
+    common.add_argument("--metric", dest="metric_def",
+                        help="accuracy metric definition")
+    common.add_argument("--dt", type=float, help="sample period in seconds")
+    common.add_argument("--block-rows", type=int, dest="block_rows",
+                        help="Hankel block rows (default 20)")
+    common.add_argument("--order", type=int, dest="fixed_order",
+                        help="force a fixed model order")
+    common.add_argument("--burn-in", type=int, dest="burn_in",
+                        help="samples excluded from error metrics")
+
     parser = argparse.ArgumentParser(
         prog="telekf",
         description="Identify teleoperator dynamics and estimate slave-side "
                     "positions through an impaired network channel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identify", help="identify a state-space model")
-    _add_common(p)
+    sub.add_parser("identify", parents=[common],
+                   help="identify a state-space model")
 
-    p = sub.add_parser("validate", help="score a model on held-out data")
-    _add_common(p)
+    p = sub.add_parser("validate", parents=[common],
+                       help="score a model on held-out data")
     p.add_argument("--validation-dataset", dest="validation_dataset",
                    help="validation dataset CSV")
     p.add_argument("--model", dest="model_path", help="saved model JSON")
 
-    p = sub.add_parser("sweep", help="run the network scenario sweep")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[common],
+                       help="run the network scenario sweep")
     p.add_argument("--model", dest="model_path", help="saved model JSON")
     p.add_argument("--scenarios", dest="scenarios_file",
                    help="scenario list JSON (default: canonical suite)")
@@ -57,16 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="sample_delay_range",
                    help="draw ranged delays per sample instead of midpoint")
 
-    p = sub.add_parser("impair", help="channel-only dry run")
-    _add_common(p)
+    p = sub.add_parser("impair", parents=[common],
+                       help="channel-only dry run")
     p.add_argument("--scenario-index", type=int, default=0,
                    dest="scenario_index")
     p.add_argument("--scenarios", dest="scenarios_file",
                    help="scenario list JSON (default: canonical suite)")
 
-    p = sub.add_parser("calibrate-accuracy",
-                       help="score accuracy formulas against published pairs")
-    _add_common(p)
+    sub.add_parser("calibrate-accuracy", parents=[common],
+                   help="score accuracy formulas against published pairs")
     return parser
 
 

@@ -1,9 +1,10 @@
 """Experiment configuration and end-to-end commands.
 
 Every command is a pure function of an ExperimentConfig: the same config
-(and toolkit version) produces byte-identical primary outputs.  Output
-files embed the config hash and the accuracy metric definition so results
-remain interpretable in isolation.
+(and toolkit version) produces byte-identical primary outputs on the same
+machine, numpy/BLAS build and BLAS thread count.  Output files embed the
+config hash and the accuracy metric definition so results remain
+interpretable in isolation.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
                               dataio.NormalizationParams]:
     """Read the matrices and normalization params of a model.json written
     by cmd_identify, grouping the channel entries' min and max by role;
-    an unreadable file or a malformed document is a DataError."""
+    an unreadable file or a malformed document (bad matrix shapes and
+    scaling included) is a DataError that names the file."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -237,8 +239,8 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
         return model, dataio.NormalizationParams(
             *(dataio.ChannelScaling(*by_role[role])
               for role in ("input", "output")))
-    except (OSError, AttributeError, KeyError, TypeError,
-            ValueError) as exc:  # ValueError: JSONDecodeError, non-numbers
+    except (OSError, AttributeError, KeyError, TypeError, ValueError,
+            DataError) as exc:  # ValueError: JSONDecodeError, non-numbers
         raise DataError(
             f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
 
@@ -267,36 +269,22 @@ def _get_model(config: ExperimentConfig):
     return model, params, norm
 
 
-def _score_stream(model: sysid.StateSpaceModel,
-                  noise_cfg: tuple[float, float, int], inputs: np.ndarray,
-                  observed: np.ndarray, truth: np.ndarray, metric_def: str,
-                  burn_in: int):
-    """Bootstrap Q/R on an observed stream, filter it and score the
-    estimates against the truth; returns noise, run and report.  They
-    depend on the stream alone, so scenarios that deliver the same
-    stream can share them."""
-    eps_q, eps_r, iterations = noise_cfg
+def score_stream(config: ExperimentConfig, model: sysid.StateSpaceModel,
+                 inputs: np.ndarray, observed: np.ndarray, truth: np.ndarray):
+    """Bootstrap Q/R on an observed stream with the config's eps_q, eps_r
+    and bootstrap_iterations, filter it and score the estimates against
+    the truth by the config's metric_def and burn-in; returns noise, run
+    and report.  They depend on the stream alone, so scenarios that
+    deliver the same stream can share them."""
     noise = estimator.estimate_noise_empirical(
-        model, inputs, observed, eps_q=eps_q, eps_r=eps_r,
-        iterations=iterations)
+        model, inputs, observed, eps_q=config.eps_q, eps_r=config.eps_r,
+        iterations=config.bootstrap_iterations)
     run = estimator.run_filter(model, noise, inputs, observed)
     report = metrics.report_run(run.estimates, truth,
                                 innovations=run.innovations,
-                                metric_def=metric_def, burn_in=burn_in)
+                                metric_def=config.metric_def,
+                                burn_in=_burn_in(config, model))
     return noise, run, report
-
-
-def run_scenario(model: sysid.StateSpaceModel,
-                 noise_cfg: tuple[float, float, int],
-                 inputs: np.ndarray, clean_outputs: np.ndarray,
-                 scenario: netsim.NetworkScenario, dt: float,
-                 metric_def: str, burn_in: int,
-                 sample_delay_range: bool = False):
-    """Impair, then _score_stream; returns stream, noise, run, report."""
-    stream = netsim.impair(clean_outputs, scenario, dt,
-                           sample_delay_range=sample_delay_range)
-    return (stream, *_score_stream(model, noise_cfg, inputs, stream.observed,
-                                   clean_outputs, metric_def, burn_in))
 
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
@@ -320,8 +308,6 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
             raise ConfigError("sweep needs a dataset (for inputs and truth)")
         norm = _in_model_units(config.dataset, model, params, config.dt)
     out = _out_dir(config)
-    burn_in = _burn_in(config, model)
-    noise_cfg = (config.eps_q, config.eps_r, config.bootstrap_iterations)
 
     out_names = norm.output_names
     columns = (["scenario", "nj_ms", "nd_ms", "np_pct"]
@@ -344,9 +330,8 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 sample_delay_range=config.sample_delay_range)
             key = stream.observed.tobytes()
             if key not in first_seen:
-                noise, run, report = _score_stream(
-                    model, noise_cfg, norm.inputs, stream.observed,
-                    norm.outputs, config.metric_def, burn_in)
+                noise, run, report = score_stream(
+                    config, model, norm.inputs, stream.observed, norm.outputs)
                 first_seen[key] = (tag, noise, report, run.gain_converged_step)
         except TelekfError as exc:  # keep sweeping; record the failure
             rows.append(head + [""] * (2 * len(out_names))
@@ -392,9 +377,9 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
 def cmd_validate(config: ExperimentConfig) -> dict:
     """Score a model open loop on a validation dataset; writes
     fit_report.json and an estimate-vs-truth CSV."""
-    model, params, _ = _get_model(config)
     if not config.validation_dataset:
         raise ConfigError("config has no validation_dataset path")
+    model, params, _ = _get_model(config)
     norm = _in_model_units(config.validation_dataset, model, params,
                            config.dt)
     predicted, report = metrics.fit_report(
@@ -418,12 +403,12 @@ def cmd_validate(config: ExperimentConfig) -> dict:
 def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     """Channel-only dry run: impair the dataset's outputs under one
     scenario and export the observed stream."""
-    norm, _ = _load_and_normalize(config)
     scenarios = config.resolve_scenarios()
     if not 0 <= scenario_index < len(scenarios):
         raise ConfigError(
             f"scenario index {scenario_index} outside 0..{len(scenarios) - 1}")
     scenario = scenarios[scenario_index]
+    norm, _ = _load_and_normalize(config)
     stream = netsim.impair(norm.outputs, scenario, norm.dt,
                            sample_delay_range=config.sample_delay_range)
     path = _out_dir(config) / "impaired.csv"

@@ -245,11 +245,12 @@ def test_criterion_08_scenario_ordering():
     model = sysid.realize(dec, 3)
     scenarios = [s.with_seed(pipeline.derive_seed(0, i))
                  for i, s in enumerate(netsim.scenario_suite())]
+    config = pipeline.ExperimentConfig()
     mean_acc = []
     for sc in scenarios:
-        _, _, _, report = pipeline.run_scenario(
-            model, (1e-4, 1e-4, 1), u, y, sc, dt,
-            metrics.DEFAULT_METRIC, burn_in=30)
+        stream = netsim.impair(y, sc, dt)
+        _, _, report = pipeline.score_stream(config, model, u,
+                                             stream.observed, y)
         mean_acc.append(float(np.mean(report.accuracy_pct)))
     elapsed = time.perf_counter() - start
     best = int(np.argmax(mean_acc))
@@ -267,14 +268,15 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
     if not trial:
         skip(9, "recorded-trial accuracy under the mildest scenario",
              "set TELEKF_JIGSAWS_TRIAL to a trial CSV to enable")
-    config = pipeline.ExperimentConfig(dataset=trial, block_rows=20,
-                                       out_dir=str(tmp_path))
+    config = pipeline.ExperimentConfig(
+        dataset=trial, block_rows=20, out_dir=str(tmp_path),
+        metric_def=metrics.calibrate_accuracy()["best"])
     norm, _ = pipeline._load_and_normalize(config)
     model, _, _ = pipeline._identify(config, norm)
     sc = netsim.scenario_suite()[2].with_seed(pipeline.derive_seed(0, 2))
-    _, _, _, report = pipeline.run_scenario(
-        model, (1e-4, 1e-4, 1), norm.inputs, norm.outputs, sc, norm.dt,
-        metrics.calibrate_accuracy()["best"], burn_in=10 * model.order)
+    stream = netsim.impair(norm.outputs, sc, norm.dt)
+    _, _, report = pipeline.score_stream(config, model, norm.inputs,
+                                         stream.observed, norm.outputs)
     ok = (np.min(report.accuracy_pct) >= 95.0
           and np.max(report.rmse) <= 0.04)
     check(9, "recorded-trial accuracy under the mildest scenario", ok,

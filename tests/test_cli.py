@@ -105,8 +105,8 @@ class TestIdentify:
         assert np.all(params.outputs.apply(outputs)[:, 2] == 0.0)
 
     @pytest.mark.parametrize("spoil, message", [
-        (lambda e: e.update(role="state"), "cannot load StateSpaceModel"),
-        (lambda e: e.pop("min"), "cannot load StateSpaceModel"),
+        (lambda e: e.update(role="state"), "KeyError('state')"),
+        (lambda e: e.pop("min"), "KeyError('min')"),
         (lambda e: e.update(max=-1e9), "channel max below min"),
     ], ids=["unknown_role", "missing_min", "max_below_min"])
     def test_bad_norm_params_is_data_error(self, tmp_path, dataset_csv,
@@ -123,7 +123,9 @@ class TestIdentify:
         assert main(["validate", "--model", str(model),
                      "--validation-dataset", str(validation_csv),
                      "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot load StateSpaceModel from {model}: " in err
+        assert message in err
 
     def test_log_records_lq_health(self, tmp_path, dataset_csv):
         # noise-free data: the Gram matrix is too ill-conditioned for
@@ -395,12 +397,53 @@ class TestSweep:
         rows = (out / "sweep_summary.csv").read_text().splitlines()[2:]
         assert len(rows) == len(scenarios)
         for row, scenario in zip(rows, config.resolve_scenarios()):
-            _, _, _, report = pipeline.run_scenario(
-                model, (1e-4, 1e-4, 1), norm.inputs, norm.outputs, scenario,
-                norm.dt, metrics.DEFAULT_METRIC, 10 * model.order)
+            stream = netsim.impair(norm.outputs, scenario, norm.dt)
+            _, _, report = pipeline.score_stream(
+                config, model, norm.inputs, stream.observed, norm.outputs)
             assert row.split(",")[4:-1] == (
                 [f"{a:.4f}" for a in report.accuracy_pct]
                 + [f"{r:.6f}" for r in report.rmse])
+
+    def test_config_settings_reach_every_row(self, tmp_path, dataset_csv):
+        doc = {"dataset": str(dataset_csv), "block_rows": 10,
+               "master_seed": 3, "eps_q": 1e-3, "eps_r": 1e-2,
+               "bootstrap_iterations": 2, "burn_in": 7, "metric_def": "nmae"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        assert lines[0].endswith(" metric_def=nmae")
+
+        config = pipeline.ExperimentConfig.from_dict(doc)
+        model, _, norm = pipeline._get_model(config)
+        defaults = pipeline.ExperimentConfig()
+        rows = lines[2:]
+        assert len(rows) == 6
+        changed = set()
+        for row, scenario in zip(rows, config.resolve_scenarios()):
+            stream = netsim.impair(norm.outputs, scenario, norm.dt)
+            noise, _, report = pipeline.score_stream(
+                config, model, norm.inputs, stream.observed, norm.outputs)
+            assert row.split(",")[4:] == (
+                [f"{a:.4f}" for a in report.accuracy_pct]
+                + [f"{r:.6f}" for r in report.rmse] + ["ok"])
+            # each setting moves the scores, so a scorer that dropped one
+            # would not match the sweep above by accident
+            got = np.concatenate([noise.Q.ravel(), noise.R.ravel(),
+                                  report.accuracy_pct, report.rmse])
+            for name in ("eps_q", "eps_r", "bootstrap_iterations",
+                         "burn_in", "metric_def"):
+                other = pipeline.ExperimentConfig(
+                    **{**doc, name: getattr(defaults, name)})
+                noise2, _, report2 = pipeline.score_stream(
+                    other, model, norm.inputs, stream.observed, norm.outputs)
+                if not np.array_equal(got, np.concatenate([
+                        noise2.Q.ravel(), noise2.R.ravel(),
+                        report2.accuracy_pct, report2.rmse])):
+                    changed.add(name)
+        assert changed == {"eps_q", "eps_r", "bootstrap_iterations",
+                           "burn_in", "metric_def"}
 
     def test_mean_delay_from_source_index(self, tmp_path, dataset_csv):
         # 100 ms is 3 samples at 30 Hz; the clamp max(1, k - 3) makes rows
@@ -501,7 +544,11 @@ class TestErrors:
             "identify_missing_file", "validate_no_validation_set",
             "impair_bad_index"])
     def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
-                                               argv, code):
+                                               monkeypatch, argv, code):
+        if code == 1:  # a config error is found before any data loads
+            def no_load(*args, **kwargs):
+                raise AssertionError("dataio.load_dataset was called")
+            monkeypatch.setattr(dataio, "load_dataset", no_load)
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                                      "label": "a/b"}]))
@@ -524,7 +571,10 @@ class TestErrors:
         json.dumps({"A": [[0.5]], "B": [["x"]], "C": [[1.0]], "D": [[0.0]],
                     "dt": 0.1}),
         json.dumps([1, 2]),
-    ], ids=["bad_json", "missing_B", "non_numeric", "not_object"])
+        json.dumps({"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
+                    "D": [[0.0]], "dt": 0.1}),
+    ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
+            "non_square_A"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
                                            capsys, text):
         model = tmp_path / "bad.json"
