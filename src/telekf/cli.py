@@ -90,8 +90,6 @@ def config_from_args(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     fields = {f.name for f in dataclasses.fields(config)}
     updates = {name: value for name, value in vars(args).items()
                if name in fields and value is not None and value is not False}
-    if args.fixed_order is not None:
-        updates["order_criterion"] = "fixed"
     if getattr(args, "scenarios_file", None):
         updates["scenarios"] = _read_json(args.scenarios_file, "scenarios")
     return dataclasses.replace(config, **updates)

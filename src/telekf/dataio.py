@@ -36,6 +36,16 @@ def as_series(x) -> np.ndarray:
     return x.reshape(-1, 1) if x.ndim < 2 else x
 
 
+def is_kind(value, kind: str) -> bool:
+    """Whether a JSON value is of the type named by ``kind`` (one member
+    of a type annotation): bool is not an int, and an int is a float."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    return {"None": value is None, "str": isinstance(value, str),
+            "list": isinstance(value, list), "int": isinstance(value, int),
+            "float": isinstance(value, (int, float))}.get(kind, False)
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """Time-aligned master-side inputs and slave-side outputs.

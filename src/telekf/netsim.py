@@ -13,8 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import as_series
+from .dataio import as_series, is_kind
 from .errors import ConfigError, DataError
+
+
+#: The numeric keys of a scenario's JSON form and their types.
+_NUMERIC = {"nd_ms": "float", "nj_ms": "float", "np": "float",
+            "np_pct": "float", "seed": "int"}
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,21 @@ class NetworkScenario:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
-        """Build a scenario from its JSON form; a missing, non-numeric or
-        out-of-range delay, jitter or loss entry, a delay_range_ms that is
-        not two finite numbers 0 <= lo <= hi, or a label that is not one
-        file-name component (it names the scenario's output files) is a
-        ConfigError."""
+        """Build a scenario from its JSON form (the keys to_dict writes);
+        an unknown key, a missing, non-numeric or out-of-range delay,
+        jitter or loss entry, a seed that is not an integer, a
+        delay_range_ms that is not two finite numbers 0 <= lo <= hi, or
+        a label that is not one file-name component (it names the
+        scenario's output files) is a ConfigError; as in a config, a
+        string or a bool is not a number."""
         try:
+            unknown = set(doc) - {*_NUMERIC, "delay_range_ms", "label"}
+            if unknown:
+                raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
+            for key, kind in _NUMERIC.items():
+                if key in doc and not is_kind(doc[key], kind):
+                    raise ConfigError(f"scenario key {key!r} must be {kind}, "
+                                      f"got {doc[key]!r}")
             if "np" in doc:
                 loss = float(doc["np"])
             elif "np_pct" in doc:
@@ -70,11 +84,13 @@ class NetworkScenario:
                 raise ConfigError(
                     "scenario needs 'np' (fraction) or 'np_pct' (percent)")
             nd_ms, nj_ms = float(doc["nd_ms"]), float(doc["nj_ms"])
-            seed = int(doc.get("seed", 0))
+            seed = doc.get("seed", 0)
             rng = doc.get("delay_range_ms")
             if rng is not None:
                 rng = tuple(rng)
-                if not (len(rng) == 2 and np.all(np.isfinite(rng))
+                if not (len(rng) == 2
+                        and all(is_kind(v, "float") for v in rng)
+                        and np.all(np.isfinite(rng))
                         and 0 <= rng[0] <= rng[1]):
                     raise ConfigError(
                         f"delay_range_ms must be two finite numbers "

@@ -28,16 +28,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _is_kind(value, kind: str) -> bool:
-    """Whether a JSON value fits one member of a field's type annotation:
-    bool is not an int, and an int is a float."""
-    if isinstance(value, bool):
-        return kind == "bool"
-    return {"None": value is None, "str": isinstance(value, str),
-            "list": isinstance(value, list), "int": isinstance(value, int),
-            "float": isinstance(value, (int, float))}.get(kind, False)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str = ""
@@ -45,10 +35,8 @@ class ExperimentConfig:
     model_path: str = ""  # reuse a previously identified model
     dt: float | None = None
     block_rows: int = 20
-    order_criterion: str = "energy"
-    energy: float = 0.85
-    fixed_order: int | None = None
-    order_threshold: float | None = None
+    energy: float = 0.85  # cumulative-energy order rule
+    fixed_order: int | None = None  # overrides the energy rule when set
     eps_q: float = 1e-4
     eps_r: float = 1e-4
     bootstrap_iterations: int = 1
@@ -63,16 +51,11 @@ class ExperimentConfig:
         if self.scenarios != "suite" and not isinstance(self.scenarios, list):
             raise ConfigError(
                 f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
-        crit = self.order_criterion
         valid = {"metric_def": self.metric_def in metrics.ACCURACY_METRICS,
                  "block_rows": self.block_rows >= 1,
-                 "order_criterion": crit in ("energy", "fixed", "threshold"),
-                 "energy": crit != "energy" or 0 < self.energy <= 1,
-                 "fixed_order": crit != "fixed" or (self.fixed_order or 0) >= 1,
-                 "order_threshold": (
-                     np.isfinite(self.order_threshold)
-                     if self.order_threshold is not None
-                     else crit != "threshold"),
+                 "energy": 0 < self.energy <= 1,
+                 "fixed_order": (self.fixed_order is None
+                                 or self.fixed_order >= 1),
                  # NaN fails every comparison, so it is rejected with inf
                  "dt": self.dt is None or 0 < self.dt < np.inf,
                  "eps_q": self.eps_q > 0, "eps_r": self.eps_r > 0,
@@ -95,7 +78,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         for name, value in doc.items():
             kinds = cls.__dataclass_fields__[name].type.split(" | ")
-            if not any(_is_kind(value, k) for k in kinds):
+            if not any(dataio.is_kind(value, k) for k in kinds):
                 raise ConfigError(
                     f"config key {name!r} must be {' or '.join(kinds)}, "
                     f"got {value!r}")
@@ -153,8 +136,7 @@ def _load_and_normalize(config: ExperimentConfig):
 def _identify(config: ExperimentConfig, norm: dataio.TrajectoryDataset):
     return sysid.identify(
         norm.inputs, norm.outputs, block_rows=config.block_rows,
-        criterion=config.order_criterion, energy=config.energy,
-        fixed=config.fixed_order, threshold=config.order_threshold)
+        energy=config.energy, fixed=config.fixed_order)
 
 
 def _burn_in(config: ExperimentConfig, model: sysid.StateSpaceModel) -> int:
@@ -205,7 +187,7 @@ def cmd_identify(config: ExperimentConfig) -> dict:
     log = {
         "config_hash": config.config_hash,
         "order": order,
-        "criterion": config.order_criterion,
+        "criterion": "energy" if config.fixed_order is None else "fixed",
         "energy_ratio": float(np.sum(ss[:order]) / np.sum(ss)),
         "spectral_radius": model.spectral_radius,
         "unstable": model.is_unstable,
@@ -226,10 +208,11 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
     """Read the matrices and normalization params of a model.json written
     by cmd_identify, grouping the channel entries' min and max by role;
     an unreadable file or a malformed document (bad matrix shapes and
-    scaling included) is a DataError that names the file."""
+    scaling, and a NaN or Infinity token, included) is a DataError that
+    names the file."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            doc = json.load(f, parse_constant=_reject_constant)
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
         by_role = {"input": ([], []), "output": ([], [])}
         for entry in doc["norm_params"]["channels"]:
@@ -243,6 +226,12 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
             DataError) as exc:  # ValueError: JSONDecodeError, non-numbers
         raise DataError(
             f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
+
+
+def _reject_constant(name: str):
+    """json.load hook for the NaN and Infinity tokens, which strict JSON
+    (as _write_json writes it) does not have."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _in_model_units(path: str, model: sysid.StateSpaceModel,
@@ -302,10 +291,10 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     repeated = sorted({t for t in tags if tags.count(t) > 1})
     if repeated:
         raise ConfigError(f"scenario labels repeat: {repeated}")
+    if not config.dataset:
+        raise ConfigError("sweep needs a dataset (for inputs and truth)")
     model, params, norm = _get_model(config)
     if norm is None:
-        if not config.dataset:
-            raise ConfigError("sweep needs a dataset (for inputs and truth)")
         norm = _in_model_units(config.dataset, model, params, config.dt)
     out = _out_dir(config)
 

@@ -291,33 +291,21 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
         warnings=tuple(warns))
 
 
-def select_order(singular_values: np.ndarray, criterion: str = "energy",
-                 energy: float = 0.85, fixed: int | None = None,
-                 threshold: float | None = None) -> int:
-    """Pick the model order from the singular value spectrum.
-
-    criterion:
-        "energy"    -- smallest n whose cumulative sum reaches ``energy``
-                       of the total (default 0.85)
-        "fixed"     -- return ``fixed`` as given
-        "threshold" -- count of singular values above threshold * ss[0]
-    """
+def select_order(singular_values: np.ndarray, energy: float = 0.85,
+                 fixed: int | None = None) -> int:
+    """Pick the model order from the singular value spectrum: ``fixed``
+    when given, else the smallest n whose cumulative sum reaches
+    ``energy`` of the total (default 0.85)."""
     ss = np.asarray(singular_values, dtype=float)
     total = ss.sum()
     if total <= 0:
         raise NumericalError("degenerate data: all singular values are zero")
-    if criterion == "fixed":
-        if fixed is None or fixed < 1:
-            raise DataError("fixed order criterion needs fixed >= 1")
+    if fixed is not None:
+        if fixed < 1:
+            raise DataError(f"fixed order {fixed} must be >= 1")
         return int(fixed)
-    if criterion == "threshold":
-        if threshold is None:
-            raise DataError("threshold criterion needs a threshold ratio")
-        return max(1, int(np.sum(ss > threshold * ss[0])))
-    if criterion == "energy":
-        ratios = np.cumsum(ss) / total
-        return int(np.searchsorted(ratios, energy - 1e-12) + 1)
-    raise DataError(f"unknown order criterion '{criterion}'")
+    ratios = np.cumsum(ss) / total
+    return int(np.searchsorted(ratios, energy - 1e-12) + 1)
 
 
 #: realize refuses a shift equation or an R11 whose condition number
@@ -388,13 +376,11 @@ def realize(decomp: SubspaceDecomposition, order: int) -> StateSpaceModel:
 
 
 def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
-             criterion: str = "energy", energy: float = 0.85,
-             fixed: int | None = None, threshold: float | None = None
+             energy: float = 0.85, fixed: int | None = None
              ) -> tuple[StateSpaceModel, SubspaceDecomposition, int]:
     """Convenience wrapper: decompose, select order, realize."""
     decomp = moesp_decompose(inputs, outputs, block_rows)
-    order = select_order(decomp.singular_values, criterion=criterion,
-                         energy=energy, fixed=fixed, threshold=threshold)
+    order = select_order(decomp.singular_values, energy=energy, fixed=fixed)
     model = realize(decomp, order)
     return model, decomp, order
 

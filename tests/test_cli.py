@@ -9,6 +9,17 @@ from telekf.cli import main
 from conftest import random_stable_system
 
 
+def _model_text(a=0.5, first_min=0.0, last_max=1.0) -> str:
+    """A one-state model.json for dataset_csv's 2-in, 2-out recording,
+    with A[0][0], the first channel's min and the last one's max given."""
+    channels = [{"role": role, "min": 0.0, "max": 1.0}
+                for role in ("input", "input", "output", "output")]
+    channels[0]["min"], channels[-1]["max"] = first_min, last_max
+    return json.dumps({"A": [[a]], "B": [[1.0, 0.0]], "C": [[1.0], [0.0]],
+                       "D": [[0.0, 0.0], [0.0, 0.0]],
+                       "norm_params": {"channels": channels}})
+
+
 @pytest.fixture()
 def dataset_csv(tmp_path):
     rng = np.random.default_rng(42)
@@ -159,6 +170,20 @@ class TestIdentify:
         log = json.loads((out / "identify_log.json").read_text())
         assert log["order"] == 1
         assert log["criterion"] == "fixed"
+
+    def test_config_fixed_order(self, tmp_path, dataset_csv):
+        # a config file's fixed_order overrides the energy rule without --order
+        args = ["identify", "--dataset", str(dataset_csv), "--block-rows", "10"]
+        assert main(args + ["--out", str(tmp_path / "energy")]) == 0
+        log = json.loads((tmp_path / "energy" / "identify_log.json").read_text())
+        assert log["order"] != 2 and log["criterion"] == "energy"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fixed_order": 2}))
+        out = tmp_path / "fixed"
+        assert main(args + ["--config", str(cfg), "--out", str(out)]) == 0
+        log = json.loads((out / "identify_log.json").read_text())
+        assert log["order"] == 2 and log["criterion"] == "fixed"
+        assert pipeline.load_model(out / "model.json")[0].order == 2
 
     def test_stamp_in_scree(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
@@ -540,9 +565,10 @@ class TestErrors:
         (["identify", "--dataset", "{tmp}/absent.csv"], 2),
         (["validate", "--dataset", "{data}"], 1),
         (["impair", "--dataset", "{data}", "--scenario-index", "9"], 1),
+        (["sweep", "--model", "{tmp}/absent.json"], 1),
     ], ids=["sweep_bad_label", "identify_no_dataset",
             "identify_missing_file", "validate_no_validation_set",
-            "impair_bad_index"])
+            "impair_bad_index", "sweep_no_dataset"])
     def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
                                                monkeypatch, argv, code):
         if code == 1:  # a config error is found before any data loads
@@ -573,8 +599,11 @@ class TestErrors:
         json.dumps([1, 2]),
         json.dumps({"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
                     "D": [[0.0]], "dt": 0.1}),
+        _model_text(a=float("nan")),
+        _model_text(first_min=float("nan")),
+        _model_text(last_max=float("inf")),
     ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
-            "non_square_A"])
+            "non_square_A", "nan_entry", "nan_min", "infinite_max"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
                                            capsys, text):
         model = tmp_path / "bad.json"
@@ -582,7 +611,15 @@ class TestErrors:
         rc = main(["sweep", "--dataset", str(dataset_csv),
                    "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "cannot load StateSpaceModel" in capsys.readouterr().err
+        assert (f"cannot load StateSpaceModel from {model}"
+                in capsys.readouterr().err)
+
+    def test_hand_written_model_loads(self, tmp_path, dataset_csv):
+        # the document the malformed-model cases above spoil is itself good
+        model = tmp_path / "good.json"
+        model.write_text(_model_text())
+        assert main(["sweep", "--dataset", str(dataset_csv),
+                     "--model", str(model), "--out", str(tmp_path / "o")]) == 0
 
     def test_model_without_norm_params_is_data_error(self, tmp_path,
                                                      dataset_csv, capsys):
@@ -638,10 +675,15 @@ class TestErrors:
         '[{"nd_ms": 1.0, "nj_ms": NaN, "np": 0.0}]',
         json.dumps([{"nd_ms": -1.0, "nj_ms": 1.0, "np": 0.0}]),
         json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 1.5}]),
+        json.dumps([{"nd_ms": "5", "nj_ms": 1.0, "np": 0.0}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": True, "np": 0.0}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "seed": 5.7}]),
+        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "lable": "a"}]),
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
             "scalar_delay_range", "not_object", "three_delay_bounds",
             "reversed_delay_range", "negative_delay_range", "infinite_delay",
-            "nan_jitter", "negative_delay", "loss_above_one"])
+            "nan_jitter", "negative_delay", "loss_above_one", "string_delay",
+            "bool_jitter", "float_seed", "misspelt_key"])
     def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
                                                   capsys, text):
         scen = tmp_path / "scen.json"
@@ -702,26 +744,24 @@ class TestErrors:
         ({"bootstrap_iterations": 0}, [], "bootstrap_iterations=0"),
         ({"eps_q": -1}, [], "eps_q=-1"),
         ({"eps_r": 0.0}, [], "eps_r=0.0"),
-        ({"order_criterion": "bogus"}, [], "order_criterion='bogus'"),
-        ({"order_criterion": "fixed"}, [], "fixed_order=None"),
-        ({"order_criterion": "threshold"}, [], "order_threshold=None"),
+        ({"order_criterion": "energy"}, [], "unknown config keys"),
+        ({"order_threshold": 0.01}, [], "unknown config keys"),
         ({}, ["--burn-in", "-5"], "burn_in=-5"),
         ({}, ["--order", "0"], "fixed_order=0"),
+        ({"fixed_order": -1}, [], "fixed_order=-1"),
         ({"energy": 7.0}, [], "energy=7.0"),
         ({"energy": 0.0}, [], "energy=0.0"),
         ({"energy": -0.5}, [], "energy=-0.5"),
+        ({"energy": 7.0}, ["--order", "2"], "energy=7.0"),
         ({}, ["--block-rows", "0"], "block_rows=0"),
         ({}, ["--dt", "nan"], "dt=nan"),
         ({}, ["--dt", "inf"], "dt=inf"),
         ({}, ["--dt", "-1"], "dt=-1.0"),
-        ({"order_criterion": "threshold", "order_threshold": float("nan")},
-         [], "order_threshold=nan"),
-        ({"order_threshold": float("inf")}, [], "order_threshold=inf"),
     ], ids=["metric", "iterations", "eps_q", "eps_r", "criterion",
-            "fixed_without_order", "threshold_without_ratio", "burn_in",
-            "order_zero", "energy_above_one", "energy_zero",
-            "energy_negative", "block_rows_zero", "dt_nan", "dt_inf",
-            "dt_negative", "threshold_nan", "threshold_inf"])
+            "threshold", "burn_in", "order_zero", "config_order_negative",
+            "energy_above_one", "energy_zero", "energy_negative",
+            "energy_with_fixed_order", "block_rows_zero", "dt_nan", "dt_inf",
+            "dt_negative"])
     def test_invalid_config_value_stops_sweep(self, tmp_path, dataset_csv,
                                               capsys, doc, args, message):
         # checked once, up front: no scenario runs and no summary is written
@@ -738,8 +778,7 @@ class TestErrors:
     def test_default_config_is_valid(self):
         config = pipeline.ExperimentConfig()
         assert config.metric_def in metrics.ACCURACY_METRICS
-        assert pipeline.ExperimentConfig(order_criterion="fixed",
-                                         fixed_order=2).fixed_order == 2
+        assert pipeline.ExperimentConfig(fixed_order=2).fixed_order == 2
 
     def test_config_value_types_accepted(self, tmp_path, dataset_csv):
         cfg = tmp_path / "cfg.json"

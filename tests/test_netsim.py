@@ -133,6 +133,11 @@ class TestScenario:
         assert netsim.NetworkScenario.from_dict(pct_only).loss_prob == \
             pytest.approx(0.0001)
 
+    def test_suite_dict_roundtrip(self):
+        for i, sc in enumerate(netsim.scenario_suite()):
+            sc = sc.with_seed(2**64 - 1 - i)
+            assert netsim.NetworkScenario.from_dict(sc.to_dict()) == sc
+
 
 class TestSuite:
     def test_length(self):

@@ -174,10 +174,12 @@ class TestSelectOrder:
         with pytest.raises(NumericalError, match="degenerate"):
             sysid.select_order([0.0, 0.0])
 
-    def test_fixed_and_threshold(self):
-        assert sysid.select_order([5, 4, 3], criterion="fixed", fixed=2) == 2
-        assert sysid.select_order([10, 5, 1e-9], criterion="threshold",
-                                  threshold=1e-3) == 2
+    def test_fixed(self):
+        assert sysid.select_order([5, 4, 3], fixed=2) == 2
+        # fixed overrides the energy rule, which would pick 1 here
+        assert sysid.select_order([100, 1, 1], energy=0.5, fixed=3) == 3
+        with pytest.raises(DataError, match="fixed order 0 must be >= 1"):
+            sysid.select_order([5, 4, 3], fixed=0)
 
     def test_energy_ratio_monotone(self, rng):
         ss = np.sort(rng.uniform(0, 10, 12))[::-1]
