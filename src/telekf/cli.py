@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import pipeline
+from .dataio import read_json
 from .errors import ConfigError, DataError, NumericalError
 
 
@@ -69,29 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path, what: str):
-    """Parse a JSON file; an unreadable file or bad JSON is a ConfigError."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad JSON in {what} {path}: {exc}") from exc
-
-
 def config_from_args(args: argparse.Namespace) -> pipeline.ExperimentConfig:
     """The --config file (or the defaults), overridden by every given
     option whose dest names a config field."""
     config = pipeline.ExperimentConfig()
     if args.config:
         config = pipeline.ExperimentConfig.from_dict(
-            _read_json(args.config, "config"))
+            read_json(args.config, "config"))
     fields = {f.name for f in dataclasses.fields(config)}
     updates = {name: value for name, value in vars(args).items()
                if name in fields and value is not None and value is not False}
     if getattr(args, "scenarios_file", None):
-        updates["scenarios"] = _read_json(args.scenarios_file, "scenarios")
+        updates["scenarios"] = read_json(args.scenarios_file, "scenarios")
     return dataclasses.replace(config, **updates)
 
 

@@ -1,4 +1,6 @@
-"""Trajectory dataset I/O, min-max normalization, and block Hankel matrices.
+"""Trajectory dataset I/O, min-max normalization, block Hankel matrices,
+and JSON input: one strict reader for config, scenario and model files,
+and one key-and-type check for configs and scenarios.
 
 Datasets are plain CSV with a header row naming channels by role:
 ``t,u:<name>,...,y:<name>,...``.  The time column is optional; when absent
@@ -16,15 +18,17 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import stat
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DEFAULT_DT = 1.0 / 30.0
 
@@ -38,12 +42,47 @@ def as_series(x) -> np.ndarray:
 
 def is_kind(value, kind: str) -> bool:
     """Whether a JSON value is of the type named by ``kind`` (one member
-    of a type annotation): bool is not an int, and an int is a float."""
+    of a type annotation): bool is not an int; an in-range int is a float."""
     if isinstance(value, bool):
         return kind == "bool"
     return {"None": value is None, "str": isinstance(value, str),
             "list": isinstance(value, list), "int": isinstance(value, int),
-            "float": isinstance(value, (int, float))}.get(kind, False)
+            "float": isinstance(value, float) or isinstance(value, int)
+            and abs(value) <= sys.float_info.max}.get(kind, False)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def read_json(path, what: str):
+    """Parse a strict JSON file, without the NaN and Infinity tokens; an
+    unreadable file or bad JSON is a ConfigError naming ``what`` and the
+    file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, a constant, not UTF-8
+        raise ConfigError(f"bad JSON in {what} {path}: {exc}") from exc
+
+
+def check_keys(doc, kinds: dict[str, str], what: str) -> dict:
+    """Return ``doc`` once it is a JSON object whose keys are all in
+    ``kinds`` (key -> type annotation, such as "int | None") and whose
+    values are of their key's type; otherwise raise a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        types = kinds[key].split(" | ")
+        if not any(is_kind(value, t) for t in types):
+            raise ConfigError(f"{what} key {key!r} must be "
+                              f"{' or '.join(types)}, got {value!r}")
+    return doc
 
 
 @dataclass(frozen=True)

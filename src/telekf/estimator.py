@@ -27,9 +27,12 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _psd_clip(M: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues to zero."""
+def _psd_clip(M: np.ndarray, name: str) -> np.ndarray:
+    """Symmetrize and clip negative eigenvalues to zero; a non-finite
+    entry is a NumericalError naming the matrix."""
     M = _symmetrize(np.asarray(M, dtype=float))
+    if not np.isfinite(M).all():
+        raise NumericalError(f"non-finite entries in {name}")
     w, V = np.linalg.eigh(M)
     if w.min() >= 0.0:
         return M
@@ -45,17 +48,16 @@ class NoiseModel:
     provenance: str = "initial"  # "initial" | "empirical"
 
     def __post_init__(self):
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        for name, M in (("Q", Q), ("R", R)):
+        for name in ("Q", "R"):
+            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             if M.shape[0] != M.shape[1]:
                 raise DataError(f"{name} must be square, got {M.shape}")
+            clipped = _psd_clip(M, name)  # rejects NaN and inf before eigvalsh
             if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
                 raise DataError(f"{name} is not symmetric")
             if np.linalg.eigvalsh(M).min() < -1e-12 * max(1.0, np.abs(M).max()):
                 raise DataError(f"{name} is not positive semidefinite")
-        object.__setattr__(self, "Q", _psd_clip(Q))
-        object.__setattr__(self, "R", _psd_clip(R))
+            object.__setattr__(self, name, clipped)
 
     @classmethod
     def initial(cls, order: int, m_out: int,
@@ -166,7 +168,7 @@ def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
         IKC = np.eye(x.size) - K @ C
         P = _symmetrize(IKC @ P @ IKC.T + K @ R @ K.T)
     x = x + K @ (z - C @ x)
-    return FilterState(x=x, P=_psd_clip(P))
+    return FilterState(x=x, P=_psd_clip(P, "P"))
 
 
 # The gain is frozen once the posterior covariance moves by no more than
@@ -319,6 +321,6 @@ def estimate_noise_empirical(
         r_x = run.states[1:] - _map_rows(model.A, run.states[:-1]) - Bu
         R_emp = (r_y.T @ r_y) / n_samples
         Q_emp = (r_x.T @ r_x) / (n_samples - 1)
-        noise = NoiseModel(Q=_psd_clip(Q_emp), R=_psd_clip(R_emp),
+        noise = NoiseModel(Q=_psd_clip(Q_emp, "Q"), R=_psd_clip(R_emp, "R"),
                            provenance="empirical")
     return noise

@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import as_series, is_kind
+from .dataio import as_series, check_keys, is_kind
 from .errors import ConfigError, DataError
 
 
-#: The numeric keys of a scenario's JSON form and their types.
-_NUMERIC = {"nd_ms": "float", "nj_ms": "float", "np": "float",
-            "np_pct": "float", "seed": "int"}
+#: The keys of a scenario's JSON form and their types.
+_KINDS = {"nd_ms": "float", "nj_ms": "float", "np": "float",
+          "np_pct": "float", "seed": "int", "delay_range_ms": "list | None",
+          "label": "str"}
 
 
 @dataclass(frozen=True)
@@ -62,29 +63,26 @@ class NetworkScenario:
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkScenario":
         """Build a scenario from its JSON form (the keys to_dict writes);
-        an unknown key, a missing, non-numeric or out-of-range delay,
-        jitter or loss entry, a seed that is not an integer, a
-        delay_range_ms that is not two finite numbers 0 <= lo <= hi, or
-        a label that is not one file-name component (it names the
-        scenario's output files) is a ConfigError; as in a config, a
-        string or a bool is not a number."""
+        a non-object, an unknown key or a value of another type (as in a
+        config, a string or a bool is not a number), a missing delay,
+        jitter or loss entry, an out-of-range one, np and np_pct that
+        disagree, a delay_range_ms that is not two finite numbers
+        0 <= lo <= hi, or a label that is not one file-name component (it
+        names the scenario's output files) is a ConfigError."""
+        check_keys(doc, _KINDS, "scenario")
         try:
-            unknown = set(doc) - {*_NUMERIC, "delay_range_ms", "label"}
-            if unknown:
-                raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-            for key, kind in _NUMERIC.items():
-                if key in doc and not is_kind(doc[key], kind):
-                    raise ConfigError(f"scenario key {key!r} must be {kind}, "
-                                      f"got {doc[key]!r}")
             if "np" in doc:
                 loss = float(doc["np"])
+                if "np_pct" in doc and not np.isclose(
+                        doc["np_pct"], 100.0 * loss, rtol=1e-9, atol=0.0):
+                    raise ConfigError(f"scenario np {doc['np']!r} and np_pct "
+                                      f"{doc['np_pct']!r} disagree")
             elif "np_pct" in doc:
                 loss = float(doc["np_pct"]) / 100.0
             else:
                 raise ConfigError(
                     "scenario needs 'np' (fraction) or 'np_pct' (percent)")
             nd_ms, nj_ms = float(doc["nd_ms"]), float(doc["nj_ms"])
-            seed = doc.get("seed", 0)
             rng = doc.get("delay_range_ms")
             if rng is not None:
                 rng = tuple(rng)
@@ -96,13 +94,13 @@ class NetworkScenario:
                         f"delay_range_ms must be two finite numbers "
                         f"0 <= lo <= hi, got {doc['delay_range_ms']!r}")
             label = doc.get("label", "")
-            if (not isinstance(label, str) or label in (".", "..")
-                    or any(c in label for c in "/\\\0")):
+            if label in (".", "..") or any(c in label for c in "/\\\0"):
                 raise ConfigError(
                     f"label must be one file-name component, without / or "
                     f"\\ or NUL and not . or .., got {label!r}")
-            return cls(nd_ms=nd_ms, nj_ms=nj_ms, loss_prob=loss, seed=seed,
-                       delay_range_ms=rng, label=label)
+            return cls(nd_ms=nd_ms, nj_ms=nj_ms, loss_prob=loss,
+                       seed=doc.get("seed", 0), delay_range_ms=rng,
+                       label=label)
         except KeyError as exc:
             raise ConfigError(f"scenario needs {exc}") from None
         except (TypeError, ValueError, DataError) as exc:
@@ -183,32 +181,21 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
 
 
 def scenario_suite() -> list[NetworkScenario]:
-    """The six canonical Tactile-Internet scenarios, seeded 0..5.
-
-    Ranged delays are collapsed to their midpoint; the range is kept as
-    metadata so a per-sample uniform draw can be enabled instead.  Loss
-    percentages are stored as fractions (0.01% -> 0.0001).
-    """
-    rows = [
-        # (nj_ms, nd_ms or (lo, hi), loss %)
-        (0.5, (0.5, 2.0), 0.01),
-        (0.5, (0.5, 2.0), 0.001),
-        (0.1, 1.0, 0.01),
-        (2.0, 5.0, 0.001),
-        (1.0, 1.0, 0.001),
-        (3.0, (200.0, 5000.0), 1.0),
+    """The six canonical Tactile-Internet scenarios in the --scenarios
+    list form, seeded 0..5 and labelled scenario_1..scenario_6.  A ranged
+    delay is kept as delay_range_ms beside its midpoint nd_ms, so that a
+    per-sample uniform draw can be enabled instead."""
+    docs = [
+        {"nd_ms": 1.25, "nj_ms": 0.5, "np_pct": 0.01,
+         "delay_range_ms": [0.5, 2.0]},
+        {"nd_ms": 1.25, "nj_ms": 0.5, "np_pct": 0.001,
+         "delay_range_ms": [0.5, 2.0]},
+        {"nd_ms": 1.0, "nj_ms": 0.1, "np_pct": 0.01},
+        {"nd_ms": 5.0, "nj_ms": 2.0, "np_pct": 0.001},
+        {"nd_ms": 1.0, "nj_ms": 1.0, "np_pct": 0.001},
+        {"nd_ms": 2600.0, "nj_ms": 3.0, "np_pct": 1.0,
+         "delay_range_ms": [200.0, 5000.0]},
     ]
-    suite = []
-    for i, (nj, nd, loss_pct) in enumerate(rows):
-        if isinstance(nd, tuple):
-            nd_ms = (nd[0] + nd[1]) / 2.0
-            rng = nd
-        else:
-            nd_ms = nd
-            rng = None
-        suite.append(NetworkScenario(
-            nd_ms=nd_ms, nj_ms=nj, loss_prob=loss_pct / 100.0,
-            seed=i, delay_range_ms=rng,
-            label=f"scenario_{i + 1}"))
-    return suite
-
+    return [NetworkScenario.from_dict(
+                {**doc, "seed": i, "label": f"scenario_{i + 1}"})
+            for i, doc in enumerate(docs)]

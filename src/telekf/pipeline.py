@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,8 @@ class ExperimentConfig:
                                  or self.fixed_order >= 1),
                  # NaN fails every comparison, so it is rejected with inf
                  "dt": self.dt is None or 0 < self.dt < np.inf,
-                 "eps_q": self.eps_q > 0, "eps_r": self.eps_r > 0,
+                 "eps_q": 0 < self.eps_q < np.inf,
+                 "eps_r": 0 < self.eps_r < np.inf,
                  "bootstrap_iterations": self.bootstrap_iterations >= 1,
                  "burn_in": self.burn_in is None or self.burn_in >= 0}
         bad = [f"{k}={getattr(self, k)!r}" for k, ok in valid.items() if not ok]
@@ -70,19 +71,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {doc!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        for name, value in doc.items():
-            kinds = cls.__dataclass_fields__[name].type.split(" | ")
-            if not any(dataio.is_kind(value, k) for k in kinds):
-                raise ConfigError(
-                    f"config key {name!r} must be {' or '.join(kinds)}, "
-                    f"got {value!r}")
-        return cls(**doc)
+        kinds = {f.name: f.type for f in fields(cls)}
+        return cls(**dataio.check_keys(doc, kinds, "config"))
 
     @property
     def config_hash(self) -> str:
@@ -211,8 +201,7 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
     scaling, and a NaN or Infinity token, included) is a DataError that
     names the file."""
     try:
-        with open(path) as f:
-            doc = json.load(f, parse_constant=_reject_constant)
+        doc = dataio.read_json(path, "model")
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
         by_role = {"input": ([], []), "output": ([], [])}
         for entry in doc["norm_params"]["channels"]:
@@ -222,16 +211,10 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
         return model, dataio.NormalizationParams(
             *(dataio.ChannelScaling(*by_role[role])
               for role in ("input", "output")))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError,
-            DataError) as exc:  # ValueError: JSONDecodeError, non-numbers
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError,
+            DataError) as exc:  # ValueError: non-numbers
         raise DataError(
             f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
-
-
-def _reject_constant(name: str):
-    """json.load hook for the NaN and Infinity tokens, which strict JSON
-    (as _write_json writes it) does not have."""
-    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _in_model_units(path: str, model: sysid.StateSpaceModel,

@@ -243,11 +243,9 @@ def test_criterion_08_scenario_ordering():
     u, y, dt, _ = surrogate_dataset()
     dec = sysid.moesp_decompose(u, y, block_rows=12)
     model = sysid.realize(dec, 3)
-    scenarios = [s.with_seed(pipeline.derive_seed(0, i))
-                 for i, s in enumerate(netsim.scenario_suite())]
     config = pipeline.ExperimentConfig()
     mean_acc = []
-    for sc in scenarios:
+    for sc in config.resolve_scenarios():
         stream = netsim.impair(y, sc, dt)
         _, _, report = pipeline.score_stream(config, model, u,
                                              stream.observed, y)
@@ -273,7 +271,7 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
         metric_def=metrics.calibrate_accuracy()["best"])
     norm, _ = pipeline._load_and_normalize(config)
     model, _, _ = pipeline._identify(config, norm)
-    sc = netsim.scenario_suite()[2].with_seed(pipeline.derive_seed(0, 2))
+    sc = config.resolve_scenarios()[2]
     stream = netsim.impair(norm.outputs, sc, norm.dt)
     _, _, report = pipeline.score_stream(config, model, norm.inputs,
                                          stream.observed, norm.outputs)

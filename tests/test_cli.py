@@ -5,6 +5,7 @@ import pytest
 
 from telekf import dataio, estimator, metrics, netsim, pipeline, sysid
 from telekf.cli import main
+from telekf.errors import ConfigError
 
 from conftest import random_stable_system
 
@@ -358,6 +359,24 @@ class TestSweep:
                         .splitlines()[2:])
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("name", ["eps_q", "eps_r"])
+    def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
+                                                     dataset_csv, name):
+        # a finite but huge covariance overflows in the filter: each
+        # scenario is recorded as failed instead of ending the sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: 1e308}))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfg), "--dataset",
+                   str(dataset_csv), "--block-rows", "10", "--out", str(out)])
+        assert rc == 0
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        assert len(lines) == 8  # stamp + header + six scenarios
+        for line in lines[2:]:
+            assert line.split(",")[-1].startswith("error: non-finite entries")
+        assert not list(out.glob("*_run.csv"))
+        assert not list(out.glob("*_report.json"))
+
     def test_custom_scenario_list(self, tmp_path, dataset_csv):
         scenarios = [{"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0,
                       "label": "clean"}]
@@ -657,49 +676,77 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    @pytest.mark.parametrize("text", [
-        "[{",
-        json.dumps([{"nj_ms": 1.0, "np_pct": 0.1}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": "fast", "np_pct": 0.1}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
-                     "delay_range_ms": 5}]),
-        json.dumps([3]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
-                     "delay_range_ms": [1, 2, 3]}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
-                     "delay_range_ms": [5, 1]}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
-                     "delay_range_ms": [-1, 2]}]),
-        '[{"nd_ms": Infinity, "nj_ms": 1.0, "np": 0.0}]',
-        '[{"nd_ms": 1.0, "nj_ms": NaN, "np": 0.0}]',
-        json.dumps([{"nd_ms": -1.0, "nj_ms": 1.0, "np": 0.0}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 1.5}]),
-        json.dumps([{"nd_ms": "5", "nj_ms": 1.0, "np": 0.0}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": True, "np": 0.0}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "seed": 5.7}]),
-        json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "lable": "a"}]),
+    @pytest.mark.parametrize("text, message", [
+        ("[{", "bad JSON in scenarios"),
+        (json.dumps([{"nj_ms": 1.0, "np_pct": 0.1}]),
+         "scenario needs 'nd_ms'"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": "fast", "np_pct": 0.1}]),
+         "scenario key 'nj_ms' must be float, got 'fast'"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0}]), "scenario needs 'np'"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                      "delay_range_ms": 5}]),
+         "scenario key 'delay_range_ms' must be list or None, got 5"),
+        (json.dumps([3]), "scenario must be a JSON object, got 3"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                      "delay_range_ms": [1, 2, 3]}]), "two finite numbers"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                      "delay_range_ms": [5, 1]}]), "two finite numbers"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                      "delay_range_ms": [-1, 2]}]), "two finite numbers"),
+        ('[{"nd_ms": Infinity, "nj_ms": 1.0, "np": 0.0}]',
+         "bad JSON in scenarios"),
+        ('[{"nd_ms": 1.0, "nj_ms": NaN, "np": 0.0}]', "bad JSON in scenarios"),
+        (json.dumps([{"nd_ms": -1.0, "nj_ms": 1.0, "np": 0.0}]),
+         "must be finite and non-negative"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 1.5}]),
+         "outside [0, 1]"),
+        (json.dumps([{"nd_ms": "5", "nj_ms": 1.0, "np": 0.0}]),
+         "scenario key 'nd_ms' must be float, got '5'"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": True, "np": 0.0}]),
+         "scenario key 'nj_ms' must be float, got True"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "seed": 5.7}]),
+         "scenario key 'seed' must be int, got 5.7"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0, "lable": "a"}]),
+         "unknown scenario keys: ['lable']"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": float("nan")}]),
+         "bad JSON in scenarios"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": float("inf"), "np": 0.0}]),
+         "bad JSON in scenarios"),
+        (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
+                      "delay_range_ms": [0.0, float("inf")]}]),
+         "bad JSON in scenarios"),
+        (json.dumps(["abc"]), "scenario must be a JSON object, got 'abc'"),
+        (json.dumps([{"nd_ms": 10**400, "nj_ms": 1.0, "np": 0.0}]),
+         "scenario key 'nd_ms' must be float, got 1000"),
+        (json.dumps([{"nd_ms": 1, "nj_ms": 1, "np": 0.5, "np_pct": 1}]),
+         "np 0.5 and np_pct 1 disagree"),
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
             "scalar_delay_range", "not_object", "three_delay_bounds",
             "reversed_delay_range", "negative_delay_range", "infinite_delay",
             "nan_jitter", "negative_delay", "loss_above_one", "string_delay",
-            "bool_jitter", "float_seed", "misspelt_key"])
+            "bool_jitter", "float_seed", "misspelt_key", "dumped_nan_loss",
+            "dumped_infinite_jitter", "dumped_infinite_delay_range",
+            "string_entry", "huge_int_delay", "np_pct_disagrees"])
     def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
-                                                  capsys, text):
+                                                  capsys, text, message):
         scen = tmp_path / "scen.json"
         scen.write_text(text)
         rc = main(["sweep", "--dataset", str(dataset_csv), "--block-rows",
                    "10", "--scenarios", str(scen),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
 
-    @pytest.mark.parametrize("label", [
-        "sub/dir", "../escaped", ".", "..", "back\\slash", "nul\0", 5],
+    @pytest.mark.parametrize("label, message", [
+        *((bad, "one file-name component") for bad in
+          ("sub/dir", "../escaped", ".", "..", "back\\slash", "nul\0")),
+        (5, "scenario key 'label' must be str, got 5")],
         ids=["slash", "parent", "dot", "dotdot", "backslash", "nul",
              "not_string"])
     def test_label_must_be_one_file_name(self, tmp_path, dataset_csv,
-                                         capsys, label):
+                                         capsys, label, message):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                                      "label": label}]))
@@ -707,7 +754,7 @@ class TestErrors:
                    "10", "--scenarios", str(scen),
                    "--out", str(tmp_path / "o" / "p")])
         assert rc == 1
-        assert "one file-name component" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not [p for p in tmp_path.rglob("*") if p.is_file()
                     and p.name not in ("scen.json", "train.csv")]
 
@@ -728,8 +775,14 @@ class TestErrors:
         ({"block_rows": True}, "config key 'block_rows' must be int"),
         ({"scenarios": "all"}, "scenarios must be 'suite' or a list"),
         ([], "config must be a JSON object"),
+        ({"eps_q": float("nan")}, "bad JSON in config"),
+        ({"eps_r": float("inf")}, "bad JSON in config"),
+        ({"dt": -float("inf")}, "bad JSON in config"),
+        ({"scenarios": [{"nd_ms": float("nan")}]}, "bad JSON in config"),
+        ({"eps_q": 10**400}, "config key 'eps_q' must be float, got 1000"),
     ], ids=["str_int", "str_float", "float_int", "bool_int", "bad_suite",
-            "not_object"])
+            "not_object", "nan", "infinity", "minus_infinity",
+            "nested_nan", "huge_int_float"])
     def test_bad_config_value_is_config_error(self, tmp_path, dataset_csv,
                                               capsys, doc, message):
         cfg = tmp_path / "cfg.json"
@@ -738,6 +791,12 @@ class TestErrors:
                    str(dataset_csv), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"dataset": "\xff.csv"}')
+        assert main(["identify", "--config", str(cfg)]) == 1
+        assert "bad JSON in config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc, args, message", [
         ({}, ["--metric", "bogus"], "metric_def='bogus'"),
@@ -774,6 +833,12 @@ class TestErrors:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (out / "sweep_summary.csv").exists()
+
+    @pytest.mark.parametrize("name", ["eps_q", "eps_r"])
+    def test_non_finite_noise_scale_is_config_error(self, name):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match=f"{name}={bad}"):
+                pipeline.ExperimentConfig(**{name: bad})
 
     def test_default_config_is_valid(self):
         config = pipeline.ExperimentConfig()

@@ -332,6 +332,26 @@ class TestNoiseModel:
         with pytest.raises(DataError):
             estimator.NoiseModel(Q=[[1.0]], R=[[0.0, 0.5], [0.1, 0.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_is_numerical_error(self, bad):
+        with pytest.raises(NumericalError, match="non-finite entries in Q"):
+            estimator.NoiseModel(Q=[[bad]], R=[[1.0]])
+        with pytest.raises(NumericalError, match="non-finite entries in R"):
+            estimator.NoiseModel(Q=np.eye(2), R=[[1.0, 0.0], [0.0, bad]])
+
+    def test_overflowing_bootstrap_is_numerical_error(self):
+        # finite outputs whose residual products overflow: the estimated
+        # covariances are non-finite, which is reported before any
+        # eigendecomposition sees them
+        rng = np.random.default_rng(3)
+        model = random_stable_system(rng, 2, 1, 1)
+        u = rng.standard_normal((200, 1))
+        y = 1e200 * sysid.simulate(model, u)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="non-finite entries"):
+            estimator.estimate_noise_empirical(model, u, y)
+
     def test_initial_guess(self):
         nm = estimator.NoiseModel.initial(3, 2, eps_q=1e-4, eps_r=1e-3)
         np.testing.assert_array_equal(nm.Q, 1e-4 * np.eye(3))

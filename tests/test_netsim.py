@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from telekf import netsim
-from telekf.errors import DataError
+from telekf.errors import ConfigError, DataError
 
 DT = 1 / 30
 
@@ -133,6 +133,13 @@ class TestScenario:
         assert netsim.NetworkScenario.from_dict(pct_only).loss_prob == \
             pytest.approx(0.0001)
 
+    def test_np_and_np_pct_must_agree(self):
+        doc = {"nd_ms": 1.0, "nj_ms": 0.1, "np": 0.07, "np_pct": 7}
+        # 100 * 0.07 is 7.000000000000001: rounding is allowed
+        assert netsim.NetworkScenario.from_dict(doc).loss_prob == 0.07
+        with pytest.raises(ConfigError, match="disagree"):
+            netsim.NetworkScenario.from_dict({**doc, "np_pct": 7.0001})
+
     def test_suite_dict_roundtrip(self):
         for i, sc in enumerate(netsim.scenario_suite()):
             sc = sc.with_seed(2**64 - 1 - i)
@@ -155,3 +162,24 @@ class TestSuite:
         assert sc.nd_ms == pytest.approx(2600.0)
         assert sc.loss_prob == pytest.approx(0.01)
         assert sc.delay_range_ms == (200.0, 5000.0)
+
+    def test_all_rows(self):
+        # (nj_ms, nd_ms or (lo, hi) delay range, loss %) of the six rows
+        table = [
+            (0.5, (0.5, 2.0), 0.01),
+            (0.5, (0.5, 2.0), 0.001),
+            (0.1, 1.0, 0.01),
+            (2.0, 5.0, 0.001),
+            (1.0, 1.0, 0.001),
+            (3.0, (200.0, 5000.0), 1.0),
+        ]
+        suite = netsim.scenario_suite()
+        assert len(suite) == len(table)
+        for i, (sc, (nj, nd, loss_pct)) in enumerate(zip(suite, table)):
+            ranged = isinstance(nd, tuple)
+            assert sc.nj_ms == nj
+            assert sc.nd_ms == ((nd[0] + nd[1]) / 2.0 if ranged else nd)
+            assert sc.loss_prob == loss_pct / 100.0
+            assert sc.delay_range_ms == (nd if ranged else None)
+            assert sc.seed == i
+            assert sc.label == f"scenario_{i + 1}"
