@@ -68,7 +68,8 @@ class NetworkScenario:
         jitter or loss entry, an out-of-range one, np and np_pct that
         disagree, a delay_range_ms that is not two finite numbers
         0 <= lo <= hi, or a label that is not one file-name component (it
-        names the scenario's output files) is a ConfigError."""
+        names the scenario's output files) or is too long to be one is a
+        ConfigError."""
         check_keys(doc, _KINDS, "scenario")
         try:
             if "np" in doc:
@@ -98,6 +99,14 @@ class NetworkScenario:
                 raise ConfigError(
                     f"label must be one file-name component, without / or "
                     f"\\ or NUL and not . or .., got {label!r}")
+            # <label>_report.json is the longest name a label makes; it
+            # must fit the common NAME_MAX of 255 bytes
+            size = len(f"{label}_report.json".encode())
+            if size > 255:
+                raise ConfigError(
+                    f"label of {len(label)} characters too long to name a "
+                    f"file: <label>_report.json would be {size} bytes of "
+                    f"UTF-8, over 255")
             return cls(nd_ms=nd_ms, nj_ms=nj_ms, loss_prob=loss,
                        seed=doc.get("seed", 0), delay_range_ms=rng,
                        label=label)

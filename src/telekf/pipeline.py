@@ -135,9 +135,15 @@ def _burn_in(config: ExperimentConfig, model: sysid.StateSpaceModel) -> int:
 
 def _out_dir(config: ExperimentConfig) -> Path:
     """Create the output directory; commands call this once their inputs
-    have loaded, so a rejected run leaves no directory behind."""
+    have loaded, so a rejected run leaves no directory behind.  A path
+    that cannot be a directory (a file, or a path through one) is a
+    ConfigError."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -198,8 +204,9 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
     """Read the matrices and normalization params of a model.json written
     by cmd_identify, grouping the channel entries' min and max by role;
     an unreadable file or a malformed document (bad matrix shapes and
-    scaling, and a NaN or Infinity token, included) is a DataError that
-    names the file."""
+    scaling, channel entries that do not match B's columns and C's rows,
+    and a NaN or Infinity token, included) is a DataError that names the
+    file."""
     try:
         doc = dataio.read_json(path, "model")
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
@@ -208,6 +215,11 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
             mins, maxs = by_role[entry["role"]]
             mins.append(entry["min"])
             maxs.append(entry["max"])
+        for role, width in (("input", model.m_in), ("output", model.m_out)):
+            count = len(by_role[role][0])
+            if count != width:
+                raise DataError(
+                    f"{count} {role} channel entries for {width} {role}s")
         return model, dataio.NormalizationParams(
             *(dataio.ChannelScaling(*by_role[role])
               for role in ("input", "output")))
@@ -217,28 +229,24 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
             f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
 
 
-def _in_model_units(path: str, model: sysid.StateSpaceModel,
-                    params: dataio.NormalizationParams,
-                    dt: float | None) -> dataio.TrajectoryDataset:
-    """Load a recording and normalize it with a saved model's parameters,
-    checking its channel counts against the model's."""
-    raw = dataio.load_dataset(path, dt=dt)
+def model_and_data(config: ExperimentConfig, path: str) -> tuple[
+        sysid.StateSpaceModel, dataio.TrajectoryDataset]:
+    """The config's model, read from model_path or identified from its
+    dataset, and the recording at ``path`` normalized with that model's
+    scaling, its channel counts checked against the model's.  A model
+    identified from ``path`` itself comes with its identification data."""
+    if config.model_path:
+        model, params = load_model(config.model_path)
+    else:
+        norm, params = _load_and_normalize(config)
+        model, _, _ = _identify(config, norm)
+        if path == config.dataset:
+            return model, norm
+    raw = dataio.load_dataset(path, dt=config.dt)
     if (raw.m_in, raw.m_out) != (model.m_in, model.m_out):
         raise DataError(f"{path} is {raw.m_in}x{raw.m_out} channels, model "
                         f"expects {model.m_in}x{model.m_out}")
-    return dataio.normalize(raw, params=params)[0]
-
-
-def _get_model(config: ExperimentConfig):
-    """Load a saved model or identify one inline; returns the model, its
-    normalization params and the normalized identification dataset (None
-    when a saved model is used: callers that need data load it with
-    _in_model_units)."""
-    if config.model_path:
-        return (*load_model(config.model_path), None)
-    norm, params = _load_and_normalize(config)
-    model, _, _ = _identify(config, norm)
-    return model, params, norm
+    return model, dataio.normalize(raw, params=params)[0]
 
 
 def score_stream(config: ExperimentConfig, model: sysid.StateSpaceModel,
@@ -276,9 +284,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         raise ConfigError(f"scenario labels repeat: {repeated}")
     if not config.dataset:
         raise ConfigError("sweep needs a dataset (for inputs and truth)")
-    model, params, norm = _get_model(config)
-    if norm is None:
-        norm = _in_model_units(config.dataset, model, params, config.dt)
+    model, norm = model_and_data(config, config.dataset)
     out = _out_dir(config)
 
     out_names = norm.output_names
@@ -305,6 +311,11 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 noise, run, report = score_stream(
                     config, model, norm.inputs, stream.observed, norm.outputs)
                 first_seen[key] = (tag, noise, report, run.gain_converged_step)
+                dataio.write_table(
+                    out / f"{tag}_run.csv", run_cols,
+                    np.hstack([stream.observed, run.estimates,
+                               run.innovations]).tolist(),
+                    stamp=_stamp(config))
         except TelekfError as exc:  # keep sweeping; record the failure
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
@@ -317,15 +328,8 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                     + ["ok"])
         reports.append(report)
 
-        run_path = out / f"{tag}_run.csv"
-        if same_as is None:
-            dataio.write_table(
-                run_path, run_cols,
-                np.hstack([stream.observed, run.estimates,
-                           run.innovations]).tolist(),
-                stamp=_stamp(config))
-        else:
-            shutil.copyfile(out / f"{same_as}_run.csv", run_path)
+        if same_as is not None:
+            shutil.copyfile(out / f"{same_as}_run.csv", out / f"{tag}_run.csv")
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
@@ -351,9 +355,7 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     fit_report.json and an estimate-vs-truth CSV."""
     if not config.validation_dataset:
         raise ConfigError("config has no validation_dataset path")
-    model, params, _ = _get_model(config)
-    norm = _in_model_units(config.validation_dataset, model, params,
-                           config.dt)
+    model, norm = model_and_data(config, config.validation_dataset)
     predicted, report = metrics.fit_report(
         model, norm.inputs, norm.outputs, metric_def=config.metric_def,
         burn_in=_burn_in(config, model))

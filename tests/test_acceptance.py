@@ -269,8 +269,7 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
     config = pipeline.ExperimentConfig(
         dataset=trial, block_rows=20, out_dir=str(tmp_path),
         metric_def=metrics.calibrate_accuracy()["best"])
-    norm, _ = pipeline._load_and_normalize(config)
-    model, _, _ = pipeline._identify(config, norm)
+    model, norm = pipeline.model_and_data(config, config.dataset)
     sc = config.resolve_scenarios()[2]
     stream = netsim.impair(norm.outputs, sc, norm.dt)
     _, _, report = pipeline.score_stream(config, model, norm.inputs,

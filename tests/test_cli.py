@@ -10,11 +10,12 @@ from telekf.errors import ConfigError
 from conftest import random_stable_system
 
 
-def _model_text(a=0.5, first_min=0.0, last_max=1.0) -> str:
+def _model_text(a=0.5, first_min=0.0, last_max=1.0,
+                roles=("input", "input", "output", "output")) -> str:
     """A one-state model.json for dataset_csv's 2-in, 2-out recording,
-    with A[0][0], the first channel's min and the last one's max given."""
-    channels = [{"role": role, "min": 0.0, "max": 1.0}
-                for role in ("input", "input", "output", "output")]
+    with A[0][0], the first channel's min, the last one's max and the
+    roles of the channel entries given."""
+    channels = [{"role": role, "min": 0.0, "max": 1.0} for role in roles]
     channels[0]["min"], channels[-1]["max"] = first_min, last_max
     return json.dumps({"A": [[a]], "B": [[1.0, 0.0]], "C": [[1.0], [0.0]],
                        "D": [[0.0, 0.0], [0.0, 0.0]],
@@ -262,6 +263,39 @@ class TestValidate:
         assert rc == 1
 
 
+class TestModelAndData:
+    @pytest.mark.parametrize("command, held_out", [
+        ("sweep", False), ("validate", True), ("validate", False)],
+        ids=["sweep", "validate", "validate_on_identification_data"])
+    def test_inline_model_loads_each_recording_once(
+            self, tmp_path, dataset_csv, validation_csv, monkeypatch,
+            command, held_out):
+        # the identification arrays serve again when they are the data
+        load = dataio.load_dataset
+        paths = []
+
+        def counting(path, *args, **kwargs):
+            paths.append(str(path))
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "load_dataset", counting)
+        path = str(validation_csv if held_out else dataset_csv)
+        expected = [str(dataset_csv)] + [path] * held_out
+        argv = [command, "--dataset", str(dataset_csv), "--block-rows", "10",
+                "--out", str(tmp_path / "o")]
+        if command == "validate":
+            argv += ["--validation-dataset", path]
+        assert main(argv) == 0
+        assert paths == expected
+
+        paths.clear()
+        config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
+                                           block_rows=10)
+        model, norm = pipeline.model_and_data(config, path)
+        assert paths == expected
+        assert norm.inputs.shape == (400 if held_out else 800, model.m_in)
+
+
 class TestStrictJson:
     def test_reports_parse_without_nan_or_infinity(self, tmp_path,
                                                   dataset_csv,
@@ -434,10 +468,10 @@ class TestSweep:
         assert docs["lossy"]["rows_changed"] > 0
         assert docs["again"]["scenario"]["label"] == "again"
 
-        model, params = pipeline.load_model(out / "model.json")
-        norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
-                                   params=params)
-        config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=4)
+        config = pipeline.ExperimentConfig(
+            dataset=str(dataset_csv), model_path=str(out / "model.json"),
+            scenarios=scenarios, master_seed=4)
+        model, norm = pipeline.model_and_data(config, config.dataset)
         rows = (out / "sweep_summary.csv").read_text().splitlines()[2:]
         assert len(rows) == len(scenarios)
         for row, scenario in zip(rows, config.resolve_scenarios()):
@@ -460,7 +494,7 @@ class TestSweep:
         assert lines[0].endswith(" metric_def=nmae")
 
         config = pipeline.ExperimentConfig.from_dict(doc)
-        model, _, norm = pipeline._get_model(config)
+        model, norm = pipeline.model_and_data(config, config.dataset)
         defaults = pipeline.ExperimentConfig()
         rows = lines[2:]
         assert len(rows) == 6
@@ -505,10 +539,10 @@ class TestSweep:
         assert main(["sweep", "--dataset", str(dataset_csv),
                      "--out", str(out), "--model", str(out / "model.json"),
                      "--seed", "5", "--scenarios", str(sc_path)]) == 0
-        model, params = pipeline.load_model(out / "model.json")
-        norm, _ = dataio.normalize(dataio.load_dataset(dataset_csv),
-                                   params=params)
-        config = pipeline.ExperimentConfig(scenarios=scenarios, master_seed=5)
+        config = pipeline.ExperimentConfig(
+            dataset=str(dataset_csv), model_path=str(out / "model.json"),
+            scenarios=scenarios, master_seed=5)
+        model, norm = pipeline.model_and_data(config, config.dataset)
         delays = {}
         for scenario in config.resolve_scenarios():
             src = netsim.impair(norm.outputs, scenario, norm.dt).source_index
@@ -603,6 +637,20 @@ class TestErrors:
         assert main(argv + ["--block-rows", "10", "--out", str(out)]) == code
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["identify", "sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "in_file"])
+    def test_uncreatable_out_is_config_error(self, tmp_path, dataset_csv,
+                                             capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = taken / "sub" if below else taken
+        rc = main([command, "--dataset", str(dataset_csv), "--block-rows",
+                   "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create output directory {out}: ")
+        assert taken.read_text() == "keep"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"datset": "x.csv"}))
@@ -621,8 +669,11 @@ class TestErrors:
         _model_text(a=float("nan")),
         _model_text(first_min=float("nan")),
         _model_text(last_max=float("inf")),
+        _model_text(roles=("input",) * 3 + ("output",) * 2),
+        _model_text(roles=("input",) * 2),
     ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
-            "non_square_A", "nan_entry", "nan_min", "infinite_max"])
+            "non_square_A", "nan_entry", "nan_min", "infinite_max",
+            "extra_input_entry", "no_output_entries"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
                                            capsys, text):
         model = tmp_path / "bad.json"
@@ -742,9 +793,11 @@ class TestErrors:
     @pytest.mark.parametrize("label, message", [
         *((bad, "one file-name component") for bad in
           ("sub/dir", "../escaped", ".", "..", "back\\slash", "nul\0")),
-        (5, "scenario key 'label' must be str, got 5")],
+        (5, "scenario key 'label' must be str, got 5"),
+        ("x" * 300, "label of 300 characters too long to name a file"),
+        ("\ud800", "codec can't encode")],
         ids=["slash", "parent", "dot", "dotdot", "backslash", "nul",
-             "not_string"])
+             "not_string", "too_long", "lone_surrogate"])
     def test_label_must_be_one_file_name(self, tmp_path, dataset_csv,
                                          capsys, label, message):
         scen = tmp_path / "scen.json"

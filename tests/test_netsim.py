@@ -140,6 +140,17 @@ class TestScenario:
         with pytest.raises(ConfigError, match="disagree"):
             netsim.NetworkScenario.from_dict({**doc, "np_pct": 7.0001})
 
+    def test_label_fits_one_file_name(self):
+        # <label>_report.json must fit 255 bytes of UTF-8: 243 ASCII
+        # characters do, 122 two-byte ones (244 bytes) do not
+        doc = {"nd_ms": 1.0, "nj_ms": 0.1, "np": 0.0}
+        longest = "x" * 243
+        assert netsim.NetworkScenario.from_dict(
+            {**doc, "label": longest}).label == longest
+        for label in ("x" * 244, "\u00e9" * 122):
+            with pytest.raises(ConfigError, match="too long to name a file"):
+                netsim.NetworkScenario.from_dict({**doc, "label": label})
+
     def test_suite_dict_roundtrip(self):
         for i, sc in enumerate(netsim.scenario_suite()):
             sc = sc.with_seed(2**64 - 1 - i)
