@@ -9,9 +9,10 @@ the sample period comes from the caller (default 30 Hz).
 Parsing and formatting CSV numbers is bound by the interpreter (``strtod``
 and ``repr`` under the GIL), so a long table is cut into one part per
 usable CPU and each part past the first runs in a forked child
-(``_in_parts``).  The parts give the same array or bytes as one serial
-pass; any failure redoes the whole job serially, so error messages are
-the serial ones too.
+(``_in_parts``).  A part of a CSV file reads its own byte range and
+parses it from memory.  The parts give the same array or bytes as one
+serial pass; any failure redoes the whole job serially, so error
+messages are the serial ones too.
 """
 
 from __future__ import annotations
@@ -354,32 +355,6 @@ def _in_parts(bounds: list[int], part) -> list[bytes] | None:
     return out
 
 
-class _Window(io.RawIOBase):
-    """Bytes lo..hi of a file, read as a stream of their own.  A double
-    quote among them raises ValueError: it could open a cell that spans
-    the line end a cut was placed after."""
-
-    def __init__(self, path, lo: int, hi: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(lo)
-        self._left = hi - lo
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        data = self._file.read(min(len(buf), self._left))
-        if b'"' in data:
-            raise ValueError("a quoted cell may span a part boundary")
-        self._left -= len(data)
-        buf[:len(data)] = data
-        return len(data)
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
 def _loadtxt(lines) -> np.ndarray:
     """CSV numbers in load_dataset's dialect as a 2-D array."""
     with warnings.catch_warnings():
@@ -392,10 +367,11 @@ def _loadtxt(lines) -> np.ndarray:
 
 def _load_parts(path, encoding: str, width: int) -> np.ndarray | None:
     """The body of a CSV dataset parsed in parts (_in_parts) cut at line
-    starts, or None when it is to be parsed serially: the file is short
-    or not a regular file, its header is not one plain LF or CRLF line,
-    its body has no line feed past the first cut (CR line ends), or a
-    part fails."""
+    starts, each part reading its own byte range of the file, or None
+    when it is to be parsed serially: the file is short or not a regular
+    file, its header is not one plain LF or CRLF line, its body has no
+    line feed past the first cut (CR line ends), or a part fails (a
+    double quote in its bytes included)."""
     st = os.stat(path)
     cuts = _cuts(st.st_size, st.st_size)
     if not stat.S_ISREG(st.st_mode) or len(cuts) < 3:
@@ -412,9 +388,13 @@ def _load_parts(path, encoding: str, width: int) -> np.ndarray | None:
             bounds.append(f.tell())
 
     def parse(lo: int, hi: int) -> bytes:
-        window = io.BufferedReader(_Window(path, lo, hi))
-        with io.TextIOWrapper(window, encoding=encoding, newline="") as lines:
-            part = _loadtxt(lines)
+        with open(path, "rb") as f:
+            f.seek(lo)
+            data = f.read(hi - lo)
+        if b'"' in data:  # the cut's line end may lie inside a quoted cell
+            raise ValueError("a quoted cell may span a part boundary")
+        part = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding=encoding,
+                                         newline=""))
         if part.size and part.shape[1] != width:  # a blank part is (0, 1)
             raise ValueError("part rows differ in width from the header")
         return part.tobytes()

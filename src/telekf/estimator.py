@@ -24,7 +24,7 @@ from .sysid import StateSpaceModel, _affine_pass, _map_rows
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    return 0.5 * P + 0.5 * P.T  # P + P.T overflows above ~9e307
 
 
 def _psd_clip(M: np.ndarray, name: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, estimator, metrics, netsim, sysid
-from .errors import ConfigError, DataError, TelekfError
+from .errors import ConfigError, DataError, NumericalError
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -48,9 +48,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.scenarios != "suite" and not isinstance(self.scenarios, list):
-            raise ConfigError(
-                f"scenarios must be 'suite' or a list, got {self.scenarios!r}")
+        if self.scenarios != "suite" and not (
+                isinstance(self.scenarios, list) and self.scenarios):
+            raise ConfigError("scenarios must be 'suite' or a list of at "
+                              f"least one scenario, got {self.scenarios!r}")
         valid = {"metric_def": self.metric_def in metrics.ACCURACY_METRICS,
                  "block_rows": self.block_rows >= 1,
                  "energy": 0 < self.energy <= 1,
@@ -92,6 +93,15 @@ def _stamp(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash} metric_def={config.metric_def}"
 
 
+def _write(path: Path, write, *args, **kwargs) -> None:
+    """``write(path, *args, **kwargs)``, with the OSError of an output file
+    that cannot be written made a ConfigError that names it."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
     """Write ``doc`` as strict JSON stamped with the config hash, which
     follows doc's own keys (or keeps its place when doc has one), then
@@ -101,8 +111,7 @@ def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:  # a non-finite float; the walk is paid only then
         text = json.dumps(_finite_or_none(doc), indent=2, allow_nan=False)
-    with open(path, "w") as f:
-        f.write(text)
+    _write(path, Path.write_text, text)
 
 
 def _finite_or_none(doc):
@@ -175,9 +184,9 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "norm_params": {"channels": channels}})
 
     scree_path = out / "singular_values.csv"
-    dataio.write_table(scree_path, ["index", "singular_value"],
-                       decomp.singular_values[:, None].tolist(),
-                       stamp=_stamp(config), first_index=1)
+    _write(scree_path, dataio.write_table, ["index", "singular_value"],
+           decomp.singular_values[:, None].tolist(), stamp=_stamp(config),
+           first_index=1)
 
     ss = decomp.singular_values
     log = {
@@ -269,9 +278,10 @@ def score_stream(config: ExperimentConfig, model: sysid.StateSpaceModel,
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
     """Run the scenario sweep and write a Table-style summary CSV plus
-    per-scenario run exports.  Per-scenario toolkit errors (TelekfError)
-    are recorded in the summary without aborting the sweep; any other
-    exception is a bug and propagates.
+    per-scenario run exports.  Per-scenario data and numerical errors are
+    recorded in the summary without aborting the sweep; a ConfigError (an
+    output file that cannot be written) ends it, and any other exception
+    is a bug and propagates.
 
     Scenarios whose channel delivers a stream bit-identical to an earlier
     scenario's reuse that scenario's bootstrap, filter run and run CSV;
@@ -311,12 +321,11 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 noise, run, report = score_stream(
                     config, model, norm.inputs, stream.observed, norm.outputs)
                 first_seen[key] = (tag, noise, report, run.gain_converged_step)
-                dataio.write_table(
-                    out / f"{tag}_run.csv", run_cols,
-                    np.hstack([stream.observed, run.estimates,
-                               run.innovations]).tolist(),
-                    stamp=_stamp(config))
-        except TelekfError as exc:  # keep sweeping; record the failure
+                _write(out / f"{tag}_run.csv", dataio.write_table, run_cols,
+                       np.hstack([stream.observed, run.estimates,
+                                  run.innovations]).tolist(),
+                       stamp=_stamp(config))
+        except (DataError, NumericalError) as exc:  # record; keep sweeping
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
@@ -329,7 +338,9 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         reports.append(report)
 
         if same_as is not None:
-            shutil.copyfile(out / f"{same_as}_run.csv", out / f"{tag}_run.csv")
+            source = out / f"{same_as}_run.csv"
+            _write(out / f"{tag}_run.csv",
+                   lambda path: shutil.copyfile(source, path))
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
@@ -343,10 +354,13 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                     mean_delay_samples=(float(delays.mean()) if delays.size
                                         else None))
 
+    def write_summary(path: Path) -> None:
+        with open(path, "w", newline="") as f:
+            f.write(_stamp(config) + "\n")
+            csv.writer(f).writerows([columns] + rows)
+
     summary_path = out / "sweep_summary.csv"
-    with open(summary_path, "w", newline="") as f:
-        f.write(_stamp(config) + "\n")
-        csv.writer(f).writerows([columns] + rows)
+    _write(summary_path, write_summary)
     return {"summary": summary_path, "reports": reports, "model": model}
 
 
@@ -367,9 +381,8 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     series_path = out / "validation_series.csv"
     cols = (["k"] + [f"truth_{n}" for n in norm.output_names]
             + [f"pred_{n}" for n in norm.output_names])
-    dataio.write_table(series_path, cols,
-                       np.hstack([norm.outputs, predicted]).tolist(),
-                       stamp=_stamp(config))
+    _write(series_path, dataio.write_table, cols,
+           np.hstack([norm.outputs, predicted]).tolist(), stamp=_stamp(config))
     return {"report": report, "paths": {"report": report_path,
                                         "series": series_path}}
 
@@ -391,7 +404,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     rows = [obs + [src, lost] for obs, src, lost in zip(
         stream.observed.tolist(), stream.source_index.tolist(),
         stream.loss_mask.astype(int).tolist())]
-    dataio.write_table(path, cols, rows, stamp=_stamp(config))
+    _write(path, dataio.write_table, cols, rows, stamp=_stamp(config))
     return {"stream": stream, "path": path, "scenario": scenario}
 
 

@@ -393,7 +393,7 @@ class TestSweep:
                         .splitlines()[2:])
         assert outs[0] != outs[1]
 
-    @pytest.mark.parametrize("name", ["eps_q", "eps_r"])
+    @pytest.mark.parametrize("name", ["eps_q"])
     def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
                                                      dataset_csv, name):
         # a finite but huge covariance overflows in the filter: each
@@ -410,6 +410,25 @@ class TestSweep:
             assert line.split(",")[-1].startswith("error: non-finite entries")
         assert not list(out.glob("*_run.csv"))
         assert not list(out.glob("*_report.json"))
+
+    def test_huge_measurement_noise_scale_completes(self, tmp_path,
+                                                     dataset_csv):
+        # R = 1e308 I is finite: the first bootstrap pass runs open loop,
+        # and every scenario is scored with finite figures
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_r": 1e308}))
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(cfg), "--dataset",
+                   str(dataset_csv), "--block-rows", "10", "--out", str(out)])
+        assert rc == 0
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines[2:]] == ["ok"] * 6
+        reports = [json.loads(p.read_text())
+                   for p in out.glob("*_report.json")]
+        assert len(reports) == 6
+        for doc in reports:
+            figures = np.array(doc["accuracy_pct"] + doc["rmse"], dtype=float)
+            assert np.isfinite(figures).all()
 
     def test_custom_scenario_list(self, tmp_path, dataset_csv):
         scenarios = [{"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0,
@@ -574,16 +593,6 @@ class TestSweep:
             capsys.readouterr().err
         assert not list(out.glob("*_run.csv"))
 
-    def test_empty_scenario_list(self, tmp_path, dataset_csv):
-        sc_path = tmp_path / "scen.json"
-        sc_path.write_text("[]")
-        out = tmp_path / "out"
-        rc = main(["sweep", "--dataset", str(dataset_csv), "--out", str(out),
-                   "--block-rows", "10", "--scenarios", str(sc_path)])
-        assert rc == 0
-        lines = (out / "sweep_summary.csv").read_text().splitlines()
-        assert len(lines) == 2  # stamp + header only
-
 
 class TestImpair:
     def test_export(self, tmp_path, dataset_csv):
@@ -619,9 +628,14 @@ class TestErrors:
         (["validate", "--dataset", "{data}"], 1),
         (["impair", "--dataset", "{data}", "--scenario-index", "9"], 1),
         (["sweep", "--model", "{tmp}/absent.json"], 1),
+        (["sweep", "--dataset", "{data}", "--scenarios", "{tmp}/none.json"],
+         1),
+        (["impair", "--dataset", "{data}", "--scenarios", "{tmp}/none.json"],
+         1),
     ], ids=["sweep_bad_label", "identify_no_dataset",
             "identify_missing_file", "validate_no_validation_set",
-            "impair_bad_index", "sweep_no_dataset"])
+            "impair_bad_index", "sweep_no_dataset", "sweep_no_scenarios",
+            "impair_no_scenarios"])
     def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
                                                monkeypatch, argv, code):
         if code == 1:  # a config error is found before any data loads
@@ -631,6 +645,7 @@ class TestErrors:
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                                      "label": "a/b"}]))
+        (tmp_path / "none.json").write_text("[]")
         argv = [a.format(data=dataset_csv, scen=scen, tmp=tmp_path)
                 for a in argv]
         out = tmp_path / "o" / "p"
@@ -650,6 +665,34 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(
             f"config error: cannot create output directory {out}: ")
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["identify"], "model.json"),
+        (["validate", "--validation-dataset", "{val}"],
+         "validation_series.csv"),
+        (["sweep", "--scenarios", "{scen}"], "still_run.csv"),
+        (["sweep", "--scenarios", "{scen}"], "again_run.csv"),
+        (["sweep", "--scenarios", "{scen}"], "sweep_summary.csv"),
+        (["impair"], "impaired.csv"),
+        (["calibrate-accuracy"], "accuracy_calibration.json"),
+    ], ids=["identify", "validate", "sweep_first_run", "sweep_copied_run",
+            "sweep_summary", "impair", "calibrate_accuracy"])
+    def test_unwritable_output_file_is_config_error(
+            self, tmp_path, dataset_csv, validation_csv, capsys, argv, name):
+        # a directory where an output file goes fails only once the run
+        # has computed that file; the run stops there, a sweep included
+        clean = {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0}
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps([{**clean, "label": "still"},
+                                    {**clean, "label": "again"}]))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        argv = [a.format(val=validation_csv, scen=scen) for a in argv]
+        rc = main(argv + ["--dataset", str(dataset_csv), "--block-rows", "10",
+                          "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write {out / name}: ")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -771,13 +814,15 @@ class TestErrors:
          "scenario key 'nd_ms' must be float, got 1000"),
         (json.dumps([{"nd_ms": 1, "nj_ms": 1, "np": 0.5, "np_pct": 1}]),
          "np 0.5 and np_pct 1 disagree"),
+        ("[]", "scenarios must be 'suite' or a list of at least one scenario"),
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
             "scalar_delay_range", "not_object", "three_delay_bounds",
             "reversed_delay_range", "negative_delay_range", "infinite_delay",
             "nan_jitter", "negative_delay", "loss_above_one", "string_delay",
             "bool_jitter", "float_seed", "misspelt_key", "dumped_nan_loss",
             "dumped_infinite_jitter", "dumped_infinite_delay_range",
-            "string_entry", "huge_int_delay", "np_pct_disagrees"])
+            "string_entry", "huge_int_delay", "np_pct_disagrees",
+            "empty_list"])
     def test_malformed_scenarios_are_config_error(self, tmp_path, dataset_csv,
                                                   capsys, text, message):
         scen = tmp_path / "scen.json"

@@ -340,6 +340,11 @@ class TestNoiseModel:
         with pytest.raises(NumericalError, match="non-finite entries in R"):
             estimator.NoiseModel(Q=np.eye(2), R=[[1.0, 0.0], [0.0, bad]])
 
+    def test_huge_finite_covariance_is_kept(self):
+        # symmetrizing 1e308 must not overflow it to a non-finite entry
+        nm = estimator.NoiseModel(Q=1e308 * np.eye(2), R=np.eye(1))
+        np.testing.assert_array_equal(nm.Q, 1e308 * np.eye(2))
+
     def test_overflowing_bootstrap_is_numerical_error(self):
         # finite outputs whose residual products overflow: the estimated
         # covariances are non-finite, which is reported before any
