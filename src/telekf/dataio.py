@@ -25,6 +25,7 @@ import stat
 import sys
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -471,14 +472,14 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     )
 
 
-def write_table(path, columns: list[str], rows: list[list],
-                stamp: str | None = None, first_index: int | None = 0) -> None:
-    """Write an optional ``stamp`` line, the ``columns`` header, then one
-    CSV line per row of Python numbers (as from ``ndarray.tolist()``), led
-    by its index counted from ``first_index`` unless that is None.  Cells
-    are ``repr`` with CRLF line ends: the bytes ``csv.writer`` gives for
-    ``repr(float(v))`` cells.  A long table is formatted in parts
-    (_in_parts), with the same bytes."""
+def table_text(columns: list[str], rows: list[list],
+               stamp: str | None = None, first_index: int | None = 0) -> str:
+    """An optional ``stamp`` line, the ``columns`` header, then one CSV
+    line per row of Python numbers (as from ``ndarray.tolist()``), led by
+    its index counted from ``first_index`` unless that is None.  Cells are
+    ``repr`` with CRLF line ends: the text ``csv.writer`` gives for
+    ``repr(float(v))`` cells, to be written without newline translation.
+    A long table is formatted in parts (_in_parts), with the same text."""
     def lines(lo: int, hi: int) -> str:
         if first_index is None:
             return "".join(f"{','.join(map(repr, r))}\r\n"
@@ -489,14 +490,12 @@ def write_table(path, columns: list[str], rows: list[list],
     n = len(rows)
     parts = _in_parts(_cuts(n, n * len(lines(0, 1))),
                       lambda lo, hi: lines(lo, hi).encode())
-    with open(path, "w", newline="") as f:
-        if stamp is not None:
-            f.write(stamp + "\n")
-        csv.writer(f).writerow(columns)
-        if parts is None:
-            f.write(lines(0, n))
-        else:
-            f.writelines(part.decode() for part in parts)
+    head = io.StringIO()
+    if stamp is not None:
+        head.write(stamp + "\n")
+    csv.writer(head).writerow(columns)
+    body = [lines(0, n)] if parts is None else [p.decode() for p in parts]
+    return "".join([head.getvalue(), *body])
 
 
 def save_dataset(dataset: TrajectoryDataset, path) -> None:
@@ -505,6 +504,6 @@ def save_dataset(dataset: TrajectoryDataset, path) -> None:
     header = (["t"] + [f"u:{n}" for n in dataset.input_names]
               + [f"y:{n}" for n in dataset.output_names])
     times = np.arange(dataset.n_samples)[:, None] * dataset.dt
-    write_table(path, header,
-                np.hstack([times, dataset.inputs, dataset.outputs]).tolist(),
-                first_index=None)
+    Path(path).write_text(table_text(
+        header, np.hstack([times, dataset.inputs, dataset.outputs]).tolist(),
+        first_index=None), newline="")

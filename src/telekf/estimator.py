@@ -193,16 +193,19 @@ def _gain_schedule(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     at the first k whose posterior covariance differs from the previous
     one by at most _FREEZE_RTOL * max|P_k|; G_k then holds for every later
     sample.  Returns the gains up to that k, stacked and read-only, and k
-    (None when P does not settle within n_samples).
+    (None when P does not settle within n_samples); a non-finite
+    predicted covariance raises NumericalError naming its sample.
     """
     P_prev = P0
     gains = []
     frozen_at = None
     for k in range(1, n_samples):
         P = A @ P_prev @ A.T + Q
+        P *= 0.5  # halved first: P + P.T overflows for entries above ~9e307
         P += P.T
-        P *= 0.5
         try:
+            if not np.isfinite(P).all():
+                raise NumericalError("predicted covariance is not finite")
             P, G = _row_updates(P, C, r)
         except NumericalError as exc:
             raise NumericalError(f"sample {k + 1}: {exc}") from exc

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
-import shutil
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -93,11 +93,11 @@ def _stamp(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash} metric_def={config.metric_def}"
 
 
-def _write(path: Path, write, *args, **kwargs) -> None:
-    """``write(path, *args, **kwargs)``, with the OSError of an output file
-    that cannot be written made a ConfigError that names it."""
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to the output file ``path`` with no newline
+    translation, its OSError made a ConfigError that names the file."""
     try:
-        write(path, *args, **kwargs)
+        path.write_text(text, newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -111,7 +111,7 @@ def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:  # a non-finite float; the walk is paid only then
         text = json.dumps(_finite_or_none(doc), indent=2, allow_nan=False)
-    _write(path, Path.write_text, text)
+    _write(path, text)
 
 
 def _finite_or_none(doc):
@@ -184,9 +184,9 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "norm_params": {"channels": channels}})
 
     scree_path = out / "singular_values.csv"
-    _write(scree_path, dataio.write_table, ["index", "singular_value"],
-           decomp.singular_values[:, None].tolist(), stamp=_stamp(config),
-           first_index=1)
+    _write(scree_path, dataio.table_text(
+        ["index", "singular_value"], decomp.singular_values[:, None].tolist(),
+        stamp=_stamp(config), first_index=1))
 
     ss = decomp.singular_values
     log = {
@@ -307,8 +307,8 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 + [f"innov_{n}" for n in out_names])
     rows = []
     reports = []
-    # observed stream bytes -> (tag, noise, report, gain_converged_step) of
-    # the first scenario that delivered it
+    # observed stream bytes -> (tag, noise, report, gain_converged_step,
+    # run CSV text) of the first scenario that delivered it
     first_seen = {}
     for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
@@ -320,27 +320,24 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
             if key not in first_seen:
                 noise, run, report = score_stream(
                     config, model, norm.inputs, stream.observed, norm.outputs)
-                first_seen[key] = (tag, noise, report, run.gain_converged_step)
-                _write(out / f"{tag}_run.csv", dataio.write_table, run_cols,
-                       np.hstack([stream.observed, run.estimates,
-                                  run.innovations]).tolist(),
-                       stamp=_stamp(config))
+                run_text = dataio.table_text(run_cols, np.hstack(
+                    [stream.observed, run.estimates, run.innovations]
+                ).tolist(), stamp=_stamp(config))
+                first_seen[key] = (tag, noise, report,
+                                   run.gain_converged_step, run_text)
         except (DataError, NumericalError) as exc:  # record; keep sweeping
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        first, noise, report, converged = first_seen[key]
+        first, noise, report, converged, run_text = first_seen[key]
         same_as = None if first == tag else first
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
         reports.append(report)
 
-        if same_as is not None:
-            source = out / f"{same_as}_run.csv"
-            _write(out / f"{tag}_run.csv",
-                   lambda path: shutil.copyfile(source, path))
+        _write(out / f"{tag}_run.csv", run_text)
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
@@ -354,13 +351,11 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                     mean_delay_samples=(float(delays.mean()) if delays.size
                                         else None))
 
-    def write_summary(path: Path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(_stamp(config) + "\n")
-            csv.writer(f).writerows([columns] + rows)
-
+    summary = io.StringIO()
+    summary.write(_stamp(config) + "\n")
+    csv.writer(summary).writerows([columns] + rows)
     summary_path = out / "sweep_summary.csv"
-    _write(summary_path, write_summary)
+    _write(summary_path, summary.getvalue())
     return {"summary": summary_path, "reports": reports, "model": model}
 
 
@@ -381,8 +376,9 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     series_path = out / "validation_series.csv"
     cols = (["k"] + [f"truth_{n}" for n in norm.output_names]
             + [f"pred_{n}" for n in norm.output_names])
-    _write(series_path, dataio.write_table, cols,
-           np.hstack([norm.outputs, predicted]).tolist(), stamp=_stamp(config))
+    _write(series_path, dataio.table_text(
+        cols, np.hstack([norm.outputs, predicted]).tolist(),
+        stamp=_stamp(config)))
     return {"report": report, "paths": {"report": report_path,
                                         "series": series_path}}
 
@@ -404,7 +400,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     rows = [obs + [src, lost] for obs, src, lost in zip(
         stream.observed.tolist(), stream.source_index.tolist(),
         stream.loss_mask.astype(int).tolist())]
-    _write(path, dataio.write_table, cols, rows, stamp=_stamp(config))
+    _write(path, dataio.table_text(cols, rows, stamp=_stamp(config)))
     return {"stream": stream, "path": path, "scenario": scenario}
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -383,6 +384,23 @@ class TestSweep:
         b = (out2 / "sweep_summary.csv").read_text().splitlines()[1:]
         assert a == b
 
+    def test_rerun_into_same_out_is_byte_identical(self, tmp_path,
+                                                   dataset_csv):
+        # out_dir is part of the config hash, so both runs use one path;
+        # every file matches, the run CSVs of repeated streams included
+        out = tmp_path / "out"
+        args = ["sweep", "--dataset", str(dataset_csv), "--out", str(out),
+                "--block-rows", "10", "--seed", "5"]
+        assert main(args) == 0
+        first = out.rename(tmp_path / "first")
+        assert main(args) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (first / name).read_bytes()
+        assert any(json.loads((out / name).read_text())["same_stream_as"]
+                   for name in names if name.endswith("_report.json"))
+
     def test_seed_changes_results(self, tmp_path, dataset_csv):
         outs = []
         for seed in ("1", "2"):
@@ -396,8 +414,9 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["eps_q"])
     def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
                                                      dataset_csv, name):
-        # a finite but huge covariance overflows in the filter: each
-        # scenario is recorded as failed instead of ending the sweep
+        # a finite but huge covariance overflows in the filter's predicted
+        # covariance: each scenario is recorded as failed, naming the
+        # sample, instead of ending the sweep
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: 1e308}))
         out = tmp_path / "out"
@@ -407,7 +426,8 @@ class TestSweep:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 8  # stamp + header + six scenarios
         for line in lines[2:]:
-            assert line.split(",")[-1].startswith("error: non-finite entries")
+            assert re.fullmatch(r"error: sample \d+: predicted covariance "
+                                r"is not finite", line.split(",")[-1])
         assert not list(out.glob("*_run.csv"))
         assert not list(out.glob("*_report.json"))
 

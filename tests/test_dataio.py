@@ -254,31 +254,30 @@ class TestWriteTable:
         (None, None),
     ])
 
-    def write(self, path, stamp, first_index):
+    def text_and_reference(self, stamp, first_index):
         table = np.array(self.VALUES).reshape(4, 3)
         columns = ["a", "b", "c"] if first_index is None else \
             ["k", "a", "b", "c"]
-        dataio.write_table(path, columns, table.tolist(), stamp=stamp,
-                           first_index=first_index)
-        return self.reference(columns, table, stamp, first_index)
+        text = dataio.table_text(columns, table.tolist(), stamp=stamp,
+                                 first_index=first_index)
+        return text.encode(), self.reference(columns, table, stamp,
+                                             first_index)
 
     @CASES
-    def test_bytes_match_csv_writer(self, tmp_path, stamp, first_index):
-        p = tmp_path / "t.csv"
-        assert self.write(p, stamp, first_index) == p.read_bytes()
+    def test_bytes_match_csv_writer(self, stamp, first_index):
+        text, reference = self.text_and_reference(stamp, first_index)
+        assert text == reference
 
     @CASES
-    def test_parts_match_csv_writer(self, tmp_path, forks, stamp,
-                                    first_index):
-        p = tmp_path / "t.csv"
-        assert self.write(p, stamp, first_index) == p.read_bytes()
+    def test_parts_match_csv_writer(self, forks, stamp, first_index):
+        text, reference = self.text_and_reference(stamp, first_index)
+        assert text == reference
         assert len(forks) == 2
 
-    def test_integer_cells_stay_integers(self, tmp_path):
-        p = tmp_path / "t.csv"
-        dataio.write_table(p, ["k", "x", "src", "lost"],
-                           [[0.5, 3, 0], [-0.0, 0, 1]])
-        assert p.read_bytes() == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
+    def test_integer_cells_stay_integers(self):
+        text = dataio.table_text(["k", "x", "src", "lost"],
+                                 [[0.5, 3, 0], [-0.0, 0, 1]])
+        assert text.encode() == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
 
 
 class TestParts:
@@ -316,7 +315,7 @@ class TestParts:
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + "\n".join(self.ROWS))
         serial = dataio.load_dataset(p)
         rows = np.hstack([serial.inputs, serial.outputs]).tolist()
-        dataio.write_table(tmp_path / "serial.csv", ["k", "a", "b"], rows)
+        serial_text = dataio.table_text(["k", "a", "b"], rows)
 
         def fork():
             raise OSError("no more processes")
@@ -327,9 +326,7 @@ class TestParts:
         ds = dataio.load_dataset(p)
         np.testing.assert_array_equal(ds.inputs, serial.inputs)
         np.testing.assert_array_equal(ds.outputs, serial.outputs)
-        dataio.write_table(tmp_path / "t.csv", ["k", "a", "b"], rows)
-        assert (tmp_path / "t.csv").read_bytes() == \
-            (tmp_path / "serial.csv").read_bytes()
+        assert dataio.table_text(["k", "a", "b"], rows) == serial_text
 
 
 class TestNormalize:
