@@ -7,8 +7,7 @@ diagonal R this equals the joint vector update.  run_filter computes the
 data-independent gains first and freezes them once the covariance
 settles; it then steps the states one sample at a time up to the freeze
 and covers the time-invariant rest in one blocked affine pass
-(sysid._affine_pass).  kf_predict/kf_update are the single-step form;
-kf_update can also do the joint update.
+(sysid._affine_pass).
 """
 
 from __future__ import annotations
@@ -74,22 +73,6 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Current estimate: state vector x and covariance P."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).reshape(-1)
-        P = np.atleast_2d(np.asarray(self.P, dtype=float))
-        if P.shape != (x.size, x.size):
-            raise DataError(f"P shape {P.shape} inconsistent with state size {x.size}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "P", _symmetrize(P))
-
-
-@dataclass(frozen=True)
 class EstimationRun:
     """Filter trajectory: per-step output estimates C x_hat + D u,
     innovations z - D u - C x_prior, and the posterior state sequence.
@@ -105,31 +88,20 @@ class EstimationRun:
     gain_converged_step: int | None = None
 
 
-def kf_predict(state: FilterState, u: np.ndarray, model: StateSpaceModel,
-               noise: NoiseModel) -> FilterState:
-    """Time update: x' = A x + B u, P' = A P A^T + Q."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != model.m_in:
-        raise DataError(f"input size {u.size}, model expects {model.m_in}")
-    A = model.A
-    x = A @ state.x + model.B @ u
-    P = _symmetrize(A @ state.P @ A.T + noise.Q)
-    return FilterState(x=x, P=P)
-
-
 def _row_updates(P: np.ndarray, C: np.ndarray,
                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply each row of C as a scalar update against r[d].
 
     Returns the posterior covariance and the gain G of the composed
-    update x_post = x + G (z - C x).
+    update x_post = x + G (z - C x); an innovation variance that is not
+    positive and finite raises NumericalError.
     """
     P = P.copy()
     G = np.zeros((P.shape[0], C.shape[0]))
     for d, c in enumerate(C):
         Pc = P @ c
         s = c @ Pc + r[d]
-        if s <= 0:
+        if not 0 < s < np.inf:
             raise NumericalError(f"degenerate innovation variance {s}")
         K = Pc / s
         G -= np.outer(K, c @ G)
@@ -138,37 +110,6 @@ def _row_updates(P: np.ndarray, C: np.ndarray,
         # (I-Kc) P (I-Kc)^T + r K K^T == P - Pc Pc^T / s.
         P -= Pc[:, None] * K
     return P, G
-
-
-def kf_update(prior: FilterState, z: np.ndarray, model: StateSpaceModel,
-              noise: NoiseModel, sequential: bool = True) -> FilterState:
-    """Measurement update.  z is the measurement with the feedthrough D u
-    already removed, as run_filter forms it.
-
-    sequential=True applies each row of C as a scalar update against the
-    matching diagonal entry of R (off-diagonal R is ignored on this path),
-    as run_filter does; sequential=False does the joint vector update with
-    the full R.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.size != model.m_out:
-        raise DataError(f"measurement size {z.size}, model expects {model.m_out}")
-    if not np.all(np.isfinite(z)):
-        raise DataError("non-finite measurement")
-    C, R = model.C, noise.R
-    x, P = prior.x, prior.P
-    if sequential:
-        P, K = _row_updates(P, C, np.diag(R))
-    else:
-        S = C @ P @ C.T + R
-        try:
-            K = np.linalg.solve(S.T, (P @ C.T).T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"degenerate innovation covariance: {exc}") from exc
-        IKC = np.eye(x.size) - K @ C
-        P = _symmetrize(IKC @ P @ IKC.T + K @ R @ K.T)
-    x = x + K @ (z - C @ x)
-    return FilterState(x=x, P=_psd_clip(P, "P"))
 
 
 # The gain is frozen once the posterior covariance moves by no more than
@@ -194,26 +135,29 @@ def _gain_schedule(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     one by at most _FREEZE_RTOL * max|P_k|; G_k then holds for every later
     sample.  Returns the gains up to that k, stacked and read-only, and k
     (None when P does not settle within n_samples); a non-finite
-    predicted covariance raises NumericalError naming its sample.
+    predicted covariance or innovation variance raises NumericalError
+    naming its sample.
     """
     P_prev = P0
     gains = []
     frozen_at = None
-    for k in range(1, n_samples):
-        P = A @ P_prev @ A.T + Q
-        P *= 0.5  # halved first: P + P.T overflows for entries above ~9e307
-        P += P.T
-        try:
-            if not np.isfinite(P).all():
-                raise NumericalError("predicted covariance is not finite")
-            P, G = _row_updates(P, C, r)
-        except NumericalError as exc:
-            raise NumericalError(f"sample {k + 1}: {exc}") from exc
-        gains.append(G)
-        if np.abs(P - P_prev).max() <= _FREEZE_RTOL * np.abs(P).max():
-            frozen_at = k
-            break
-        P_prev = P
+    # an overflow shows up as a non-finite P or s, which raises below
+    with np.errstate(over="ignore"):
+        for k in range(1, n_samples):
+            P = A @ P_prev @ A.T + Q
+            P *= 0.5  # halved first: P + P.T overflows for entries above ~9e307
+            P += P.T
+            try:
+                if not np.isfinite(P).all():
+                    raise NumericalError("predicted covariance is not finite")
+                P, G = _row_updates(P, C, r)
+            except NumericalError as exc:
+                raise NumericalError(f"sample {k + 1}: {exc}") from exc
+            gains.append(G)
+            if np.abs(P - P_prev).max() <= _FREEZE_RTOL * np.abs(P).max():
+                frozen_at = k
+                break
+            P_prev = P
     stacked = np.array(gains).reshape(-1, A.shape[0], C.shape[0])
     stacked.flags.writeable = False
     return stacked, frozen_at
@@ -246,8 +190,8 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     and one blocked affine pass gives the rest (sysid._affine_pass: blocks
     of _BLOCK samples, whose starts a nested pass on (M A)^_BLOCK carries
     across on long streams; each level halves its block while one of its
-    powers overflows).  A non-positive innovation variance raises
-    NumericalError naming the sample.
+    powers overflows).  An innovation variance that is not positive and
+    finite raises NumericalError naming the sample.
     """
     z_seq = as_series(measurements)
     Bu, Du = model.input_terms(inputs)

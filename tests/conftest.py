@@ -41,6 +41,16 @@ def simulate_noisy(model, inputs, Q, R, rng):
     return xs @ model.C.T + (inputs @ model.D.T + v)
 
 
+def joint_update(P, C, R):
+    """Textbook joint measurement update in Joseph form: the gain
+    K = P C^T S^-1 with S = C P C^T + R, and the posterior covariance
+    (I - K C) P (I - K C)^T + K R K^T."""
+    S = C @ P @ C.T + R
+    K = np.linalg.solve(S, C @ P).T  # S and P are symmetric
+    IKC = np.eye(P.shape[0]) - K @ C
+    return K, IKC @ P @ IKC.T + K @ R @ K.T
+
+
 def surrogate_dataset(seed=5, n_samples=6000, dt=0.5e-3):
     """Fixed synthetic 3x3-channel surrogate: smooth multi-sine inputs with
     excitation noise through a known stable 3-state system, min-max scaled."""

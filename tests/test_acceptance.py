@@ -13,7 +13,7 @@ import pytest
 from telekf import dataio, estimator, metrics, netsim, pipeline, sysid
 
 import conftest
-from conftest import (random_stable_system, simulate_noisy,
+from conftest import (joint_update, random_stable_system, simulate_noisy,
                       strictly_proper_system, surrogate_dataset)
 
 
@@ -109,17 +109,14 @@ def test_criterion_02_subspace_noise_robustness():
 
 def test_criterion_03_filter_recursion_exactness():
     # scalar system A=1, Q=0, R=1, P0=1: hand recursion gives
-    # K_k = P_k = 1/(k+1)
-    model = sysid.StateSpaceModel(A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
-    noise = estimator.NoiseModel(Q=[[0.0]], R=[[1.0]])
-    state = estimator.FilterState(x=[0.0], P=[[1.0]])
-    worst = 0.0
-    for k in range(1, 11):
-        state = estimator.kf_predict(state, [0.0], model, noise)
-        state = estimator.kf_update(state, [1.0], model, noise)
-        worst = max(worst, abs(state.P[0, 0] - 1.0 / (k + 1)))
+    # K_k = P_k = 1/(k+1), and the schedule's gain G_k is K_k
+    G, _ = estimator._gain_schedule(np.ones((1, 1)), np.ones((1, 1)),
+                                    np.zeros((1, 1)), np.ones(1),
+                                    np.ones((1, 1)), 11)
+    worst = max(abs(G[k - 1, 0, 0] - 1.0 / (k + 1)) for k in range(1, 11))
     check(3, "covariance recursion matches hand-computed scalar sequence",
-          worst < 1e-12, f"max |P_k - 1/(k+1)| = {worst:.2e} < 1e-12")
+          G.shape[0] == 10 and worst < 1e-12,
+          f"max |G_k - 1/(k+1)| = {worst:.2e} < 1e-12")
 
 
 def test_criterion_04_sequential_vs_batch_update():
@@ -132,15 +129,14 @@ def test_criterion_04_sequential_vs_batch_update():
         P = L @ L.T + 1e-3 * np.eye(n)
         C = rng.standard_normal((m, n))
         R = np.diag(rng.uniform(0.1, 2.0, m))
-        model = sysid.StateSpaceModel(A=np.eye(n), B=np.zeros((n, 1)),
-                                      C=C, D=np.zeros((m, 1)))
-        noise = estimator.NoiseModel(Q=np.zeros((n, n)), R=R)
-        prior = estimator.FilterState(x=rng.standard_normal(n), P=P)
-        z = rng.standard_normal(m)
-        seq = estimator.kf_update(prior, z, model, noise, sequential=True)
-        bat = estimator.kf_update(prior, z, model, noise, sequential=False)
-        worst = max(worst, np.abs(seq.x - bat.x).max(),
-                    np.abs(seq.P - bat.P).max())
+        x = rng.standard_normal(n)
+        innovation = rng.standard_normal(m) - C @ x
+        P_seq, G = estimator._row_updates(P, C, np.diag(R))
+        K, P_joint = joint_update(P, C, R)
+        # the gain, the state step it applies, and the posterior P
+        worst = max(worst, np.abs(G - K).max(),
+                    np.abs((G - K) @ innovation).max(),
+                    np.abs(P_seq - P_joint).max())
     check(4, "sequential scalar updates equal joint update for diagonal R",
           worst < 1e-9, f"max deviation {worst:.2e} < 1e-9 over 1000 cases")
 

@@ -414,8 +414,8 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["eps_q"])
     def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
                                                      dataset_csv, name):
-        # a finite but huge covariance overflows in the filter's predicted
-        # covariance: each scenario is recorded as failed, naming the
+        # a finite but huge covariance overflows the first innovation
+        # variance: each scenario is recorded as failed, naming the
         # sample, instead of ending the sweep
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: 1e308}))
@@ -426,8 +426,8 @@ class TestSweep:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 8  # stamp + header + six scenarios
         for line in lines[2:]:
-            assert re.fullmatch(r"error: sample \d+: predicted covariance "
-                                r"is not finite", line.split(",")[-1])
+            assert re.fullmatch(r"error: sample 2: degenerate innovation "
+                                r"variance inf", line.split(",")[-1])
         assert not list(out.glob("*_run.csv"))
         assert not list(out.glob("*_report.json"))
 

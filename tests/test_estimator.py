@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from telekf import estimator, metrics, netsim, sysid
 from telekf.errors import DataError, NumericalError
 
-from conftest import (random_stable_system, simulate_noisy,
+from conftest import (joint_update, random_stable_system, simulate_noisy,
                       strictly_proper_system)
 
 
@@ -16,74 +17,71 @@ def scalar_model(a=1.0, b=0.0, c=1.0, d=0.0):
     return sysid.StateSpaceModel(A=[[a]], B=[[b]], C=[[c]], D=[[d]])
 
 
+def row_update(P, r, z, x=(0.0,), C=((1.0,),)):
+    """One measurement update through _row_updates: posterior x and P."""
+    C = np.asarray(C, dtype=float)
+    x = np.asarray(x, dtype=float)
+    P_post, G = estimator._row_updates(np.asarray(P, dtype=float), C,
+                                       np.asarray(r, dtype=float))
+    return x + G @ (np.asarray(z, dtype=float) - C @ x), P_post
+
+
 class TestPredict:
+    # With P0 = 0 and Q = 0 the gain is 0, so run_filter's states are the
+    # prediction x_k = A x_{k-1} + B u_{k-1} alone.
     def test_identity_dynamics(self):
         m = scalar_model(a=1.0)
         noise = estimator.NoiseModel(Q=[[0.0]], R=[[1.0]])
-        st0 = estimator.FilterState(x=[2.0], P=[[0.3]])
-        out = estimator.kf_predict(st0, [0.0], m, noise)
-        assert out.x[0] == 2.0
-        assert out.P[0, 0] == 0.3
+        run = estimator.run_filter(m, noise, np.zeros((5, 1)),
+                                   np.full((5, 1), 9.0), x0=[2.0],
+                                   P0=[[0.0]])
+        np.testing.assert_array_equal(run.states, np.full((5, 1), 2.0))
 
     def test_pure_input_drive(self):
         m = sysid.StateSpaceModel(A=np.zeros((2, 2)), B=np.eye(2),
                                   C=np.eye(2), D=np.zeros((2, 2)))
         noise = estimator.NoiseModel(Q=np.zeros((2, 2)), R=np.eye(2))
-        out = estimator.kf_predict(
-            estimator.FilterState(x=[5.0, 5.0], P=np.zeros((2, 2))),
-            [1.0, -2.0], m, noise)
-        np.testing.assert_array_equal(out.x, [1.0, -2.0])
-        np.testing.assert_array_equal(out.P, np.zeros((2, 2)))
+        u = np.array([[1.0, -2.0], [0.5, 3.0], [-4.0, 0.25]])
+        run = estimator.run_filter(m, noise, u, np.full((3, 2), 7.0),
+                                   x0=[5.0, 5.0], P0=np.zeros((2, 2)))
+        np.testing.assert_array_equal(run.states, [[5.0, 5.0], *u[:-1]])
 
     def test_covariance_arithmetic(self):
-        m = scalar_model(a=1.0)
-        noise = estimator.NoiseModel(Q=[[0.1]], R=[[1.0]])
-        out = estimator.kf_predict(
-            estimator.FilterState(x=[0.0], P=[[0.5]]), [0.0], m, noise)
-        assert out.P[0, 0] == pytest.approx(0.6, abs=1e-15)
+        # P_1^- = 0.5 + 0.1, so the first gain is 0.6 / (0.6 + 1)
+        G, _ = estimator._gain_schedule(np.ones((1, 1)), np.ones((1, 1)),
+                                        np.full((1, 1), 0.1), np.ones(1),
+                                        np.full((1, 1), 0.5), 2)
+        assert G[0, 0, 0] == pytest.approx(0.6 / 1.6, abs=1e-15)
 
 
 class TestUpdate:
     def test_hand_computed_scalar_gain(self):
-        m = scalar_model()
-        noise = estimator.NoiseModel(Q=[[0.0]], R=[[1.0]])
-        prior = estimator.FilterState(x=[0.0], P=[[1.0]])
-        post = estimator.kf_update(prior, [2.0], m, noise)
-        assert post.x[0] == pytest.approx(1.0, abs=1e-12)  # K = 0.5
-        assert post.P[0, 0] == pytest.approx(0.5, abs=1e-12)
+        x, P = row_update([[1.0]], [1.0], [2.0])
+        assert x[0] == pytest.approx(1.0, abs=1e-12)  # K = 0.5
+        assert P[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_huge_r_ignores_measurement(self):
-        m = scalar_model()
-        noise = estimator.NoiseModel(Q=[[0.0]], R=[[1e12]])
-        prior = estimator.FilterState(x=[0.5], P=[[1.0]])
-        post = estimator.kf_update(prior, [100.0], m, noise)
-        assert abs(post.x[0] - 0.5) < 1e-9
+        x, _ = row_update([[1.0]], [1e12], [100.0], x=[0.5])
+        assert abs(x[0] - 0.5) < 1e-9
 
     def test_zero_r_trusts_measurement(self):
-        m = sysid.StateSpaceModel(A=np.eye(2), B=np.zeros((2, 1)),
-                                  C=np.eye(2), D=np.zeros((2, 1)))
-        noise = estimator.NoiseModel(Q=np.zeros((2, 2)), R=np.zeros((2, 2)))
-        prior = estimator.FilterState(x=[0.0, 0.0], P=np.eye(2))
-        post = estimator.kf_update(prior, [3.0, -1.0], m, noise)
-        np.testing.assert_allclose(post.x, [3.0, -1.0], atol=1e-12)
-        np.testing.assert_allclose(post.P, 0, atol=1e-12)
+        x, P = row_update(np.eye(2), [0.0, 0.0], [3.0, -1.0],
+                          x=[0.0, 0.0], C=np.eye(2))
+        np.testing.assert_allclose(x, [3.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(P, 0, atol=1e-12)
 
     def test_degenerate_innovation(self):
-        m = scalar_model()
-        noise = estimator.NoiseModel(Q=[[0.0]], R=[[0.0]])
-        prior = estimator.FilterState(x=[0.0], P=[[0.0]])
         with pytest.raises(NumericalError, match="degenerate innovation"):
-            estimator.kf_update(prior, [1.0], m, noise)
+            row_update([[0.0]], [0.0], [1.0])
 
     def test_covariance_stays_symmetric_psd(self, rng):
         m = random_stable_system(rng, 4, 1, 3)
-        noise = estimator.NoiseModel(Q=0.01 * np.eye(4), R=0.1 * np.eye(3))
-        state = estimator.FilterState(x=np.zeros(4), P=np.eye(4))
+        Q, r = 0.01 * np.eye(4), np.full(3, 0.1)
+        P = np.eye(4)
         for k in range(50):
-            state = estimator.kf_predict(state, rng.standard_normal(1), m, noise)
-            state = estimator.kf_update(state, rng.standard_normal(3), m, noise)
-            assert np.abs(state.P - state.P.T).max() < 1e-9
-            assert np.linalg.eigvalsh(state.P).min() >= -1e-9
+            P, _ = estimator._row_updates(m.A @ P @ m.A.T + Q, m.C, r)
+            assert np.abs(P - P.T).max() < 1e-9
+            assert np.linalg.eigvalsh(P).min() >= -1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10_000))
@@ -94,13 +92,13 @@ class TestUpdate:
         L = rng.standard_normal((n, n))
         P = L @ L.T + 0.1 * np.eye(n)
         R = np.diag(rng.uniform(0.05, 2.0, m_out))
-        noise = estimator.NoiseModel(Q=np.eye(n), R=R)
-        prior = estimator.FilterState(x=rng.standard_normal(n), P=P)
+        x = rng.standard_normal(n)
         z = rng.standard_normal(m_out)
-        seq = estimator.kf_update(prior, z, model, noise, sequential=True)
-        bat = estimator.kf_update(prior, z, model, noise, sequential=False)
-        np.testing.assert_allclose(seq.x, bat.x, atol=1e-9)
-        np.testing.assert_allclose(seq.P, bat.P, atol=1e-9)
+        x_seq, P_seq = row_update(P, np.diag(R), z, x=x, C=model.C)
+        K, P_joint = joint_update(P, model.C, R)
+        np.testing.assert_allclose(x_seq, x + K @ (z - model.C @ x),
+                                   atol=1e-9)
+        np.testing.assert_allclose(P_seq, P_joint, atol=1e-9)
 
     def test_gain_monotone_in_r(self):
         # scaling R by 10 strictly decreases the scalar Kalman gain
@@ -108,13 +106,8 @@ class TestUpdate:
         gains = []
         for r in (0.1, 1.0, 10.0):
             gains.append(P / (P + r))
-        m = scalar_model()
-        xs = []
-        for r in (0.1, 1.0, 10.0):
-            noise = estimator.NoiseModel(Q=[[0.0]], R=[[r]])
-            prior = estimator.FilterState(x=[0.0], P=[[1.0]])
-            post = estimator.kf_update(prior, [1.0], m, noise)
-            xs.append(post.x[0])  # x = K * z, so x is the realized gain
+        # x = K * z, so x is the realized gain
+        xs = [row_update([[P]], [r], [1.0])[0][0] for r in (0.1, 1.0, 10.0)]
         assert xs[0] > xs[1] > xs[2]
         np.testing.assert_allclose(xs, gains, atol=1e-12)
 
@@ -315,14 +308,21 @@ class TestGainSchedule:
         err = np.abs(run.estimates - ref.estimates).max()
         assert err <= 1e-11 * np.abs(ref.estimates).max()
 
-    def test_degenerate_noise_names_the_sample(self, rng):
-        # NumericalError is what the CLI reports with exit code 3
-        model = random_stable_system(rng, 2, 1, 1)
-        noise = estimator.NoiseModel(Q=np.zeros((2, 2)), R=np.zeros((1, 1)))
-        with pytest.raises(NumericalError,
-                           match="sample 2: degenerate innovation variance"):
-            estimator.run_filter(model, noise, np.zeros((10, 1)),
-                                 np.zeros((10, 1)), P0=np.zeros((2, 2)))
+    @pytest.mark.parametrize("q, s", [(0.0, "0.0"), (1e308, "inf")],
+                             ids=["zero", "overflow"])
+    def test_degenerate_noise_names_the_sample(self, q, s):
+        # NumericalError is what the CLI reports with exit code 3.  With
+        # Q = 1e308 I the first innovation variance c P c overflows to inf,
+        # which must raise without a RuntimeWarning.
+        model = sysid.StateSpaceModel(A=0.5 * np.eye(2), B=[[1.0], [0.0]],
+                                      C=[[1.0, 1.0]], D=[[0.0]])
+        noise = estimator.NoiseModel(Q=q * np.eye(2), R=np.zeros((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="sample 2: degenerate "
+                               f"innovation variance {s}$"):
+                estimator.run_filter(model, noise, np.zeros((10, 1)),
+                                     np.zeros((10, 1)), P0=np.zeros((2, 2)))
 
 
 class TestNoiseModel:
