@@ -172,14 +172,18 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
         nd = delay_rng.uniform(lo, hi, n - 1) * ms_to_samples
     else:
         nd = scenario.nd_ms * ms_to_samples
-    offset = _round_half_up(nd + g * scenario.nj_ms * ms_to_samples)
+    # A jitter term past the float range is an infinite offset, which the
+    # clamps below treat like any other offset past the stream's ends.
+    with np.errstate(over="ignore"):
+        offset = _round_half_up(nd + g * scenario.nj_ms * ms_to_samples)
 
     k = np.arange(2, n + 1)  # 1-based sample indices
     # Lower clamp per the delay formula; upper clamp keeps negative jitter
-    # draws from indexing past the end of the stream.
+    # draws from indexing past the end of the stream.  Clamped before the
+    # cast, so an offset beyond the int range clamps too.
     effective = np.empty(n, dtype=int)
     effective[0] = 1
-    effective[1:] = np.clip((k - offset).astype(int), 1, n)
+    effective[1:] = np.clip(k - offset, 1, n).astype(int)
 
     # Held samples replay the last delivered index (forward fill).
     idx = np.where(loss_mask, 0, np.arange(n))

@@ -107,11 +107,7 @@ def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
     follows doc's own keys (or keeps its place when doc has one), then
     ``extra``; a non-finite float is written as null."""
     doc = {**doc, "config_hash": config.config_hash, **extra}
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float; the walk is paid only then
-        text = json.dumps(_finite_or_none(doc), indent=2, allow_nan=False)
-    _write(path, text)
+    _write(path, json.dumps(_finite_or_none(doc), indent=2, allow_nan=False))
 
 
 def _finite_or_none(doc):

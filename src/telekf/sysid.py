@@ -168,24 +168,15 @@ def _stack_gram(inputs: np.ndarray, outputs: np.ndarray,
     np.matmul(ends, lagged, out=H[1:])
     np.cumsum(H, axis=0, out=H)
 
-    # V[i, k] = H[i, k - i] is block (i, k) on and above the block
-    # diagonal; below it, block (i, k) is V[k, i]' (there V itself reads
-    # H[i - 1, d + k - i], in bounds and unused).  Rows and columns of G
-    # run over U's block rows, then Y's.
-    s0, s1, s2, s3 = H.strides
-    V = as_strided(H, H.shape, (s0 - s1, s1, s2, s3), writeable=False)
-    above = np.triu(np.ones((d, d), dtype=bool))[:, :, None, None]
-    G = np.empty((d * m, d * m))
-    parts = ((slice(0, d * m_in), slice(0, m_in)),
-             (slice(d * m_in, None), slice(m_in, m)))
-    for rows, a in parts:
-        for columns, b in parts:
-            block = G[rows, columns]
-            block = block.reshape(d, block.shape[0] // d,
-                                  d, block.shape[1] // d).transpose(0, 2, 1, 3)
-            np.copyto(block, V.transpose(1, 0, 3, 2)[:, :, a, b])
-            np.copyto(block, V[:, :, a, b], where=above)
-    return G
+    # Block (i, k) is H[min(i, k), |k - i|], transposed below the block
+    # diagonal.  order lists the rows of [U; Y] among those of
+    # build_hankel(S): every block row's input channels, then its outputs.
+    i, k = np.indices((d, d))
+    blocks = H[np.minimum(i, k), np.abs(k - i)]
+    blocks = np.where((k < i)[:, :, None, None], blocks.swapaxes(2, 3), blocks)
+    rows = np.arange(d * m).reshape(d, m)
+    order = np.concatenate([rows[:, :m_in].ravel(), rows[:, m_in:].ravel()])
+    return blocks.transpose(0, 2, 1, 3).reshape(d * m, d * m)[np.ix_(order, order)]
 
 
 #: Hankel columns per chunk of _lq_factor's second pass.  A chunk holds
@@ -322,6 +313,8 @@ def realize(decomp: SubspaceDecomposition, order: int) -> StateSpaceModel:
     R21 * R11^-1 product.
     """
     d, m_in, m_out = decomp.block_rows, decomp.m_in, decomp.m_out
+    if d < 2:  # the shift equation below has d - 1 block rows
+        raise DataError(f"block_rows = {d}: realize needs block_rows >= 2")
     ss = decomp.singular_values
     n_pos = int(np.sum(ss > 0))
     if not 1 <= order <= n_pos:

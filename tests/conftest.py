@@ -31,14 +31,12 @@ def simulate_noisy(model, inputs, Q, R, rng):
     N = inputs.shape[0]
     w = rng.multivariate_normal(np.zeros(n), Q, size=N)
     v = rng.multivariate_normal(np.zeros(m_out), R, size=N)
+    # the states x_k = A x_(k-1) + B u_(k-1) + w_(k-1) are those of a plant
+    # driven by B u + w through an identity input matrix
+    driven = sysid.StateSpaceModel(A=model.A, B=np.eye(n), C=model.C,
+                                   D=np.zeros((m_out, n)))
     drive = inputs @ model.B.T + w
-    # Rows 1.. first hold drive[k-1]; the loop adds A x_{k-1} to each.
-    xs = np.zeros((N, n))
-    xs[1:] = drive[:-1]
-    rows = list(xs)
-    for prev, row in zip(rows, rows[1:]):
-        row += model.A @ prev
-    return xs @ model.C.T + (inputs @ model.D.T + v)
+    return sysid.simulate(driven, drive) + (inputs @ model.D.T + v)
 
 
 def joint_update(P, C, R):

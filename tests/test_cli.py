@@ -637,6 +637,15 @@ class TestErrors:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_one_block_row_is_data_error(self, tmp_path, dataset_csv,
+                                         capsys):
+        rc = main(["identify", "--dataset", str(dataset_csv),
+                   "--block-rows", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: block_rows = 1")
+        assert "Traceback" not in err
+
     def test_no_dataset_is_config_error(self, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "o")])
         assert rc == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,19 @@ class TestImpair:
         assert s.source_index.min() == 1
         np.testing.assert_array_equal(s.observed,
                                       np.tile(clean[0], (20, 1)))
+
+    @pytest.mark.parametrize("dt", [DT, 0.5e-3], ids=["30Hz", "2kHz"])
+    def test_offset_past_int_range_clamps_both_ways(self, dt):
+        # jitter of 1e308 ms puts every offset past int64, and at 2 kHz
+        # past the float range; negative draws clamp to the last sample,
+        # positive ones to the first, with no warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = netsim.impair(ramp(20), netsim.NetworkScenario(0, 1e308, 0,
+                                                               seed=3), dt)
+        np.testing.assert_array_equal(np.flatnonzero(s.source_index == 20),
+                                      [3, 6, 8, 13, 14, 17, 19])
+        assert set(s.source_index.tolist()) == {1, 20}
 
     def test_preconditions(self):
         with pytest.raises(DataError):

@@ -229,6 +229,13 @@ class TestRealize:
         with pytest.raises(DataError):
             sysid.realize(dec, 0)
 
+    def test_one_block_row_is_data_error(self, rng):
+        # d = 1 decomposes, but leaves the shift equation no rows
+        u, y = noisy_series(rng, 200, 1, 2)
+        dec = sysid.moesp_decompose(u, y, 1)
+        with pytest.raises(DataError, match="block_rows"):
+            sysid.realize(dec, 1)
+
     def test_noise_free_consistency_sweep(self, rng):
         # exactly n significant singular values and 1e-6 Markov recovery
         for n in (1, 2, 3):
