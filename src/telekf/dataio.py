@@ -57,13 +57,21 @@ def _reject_constant(name: str):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"number {text} beyond the float range")
+    return value
+
+
 def read_json(path, what: str):
-    """Parse a strict JSON file, without the NaN and Infinity tokens; an
-    unreadable file or bad JSON is a ConfigError naming ``what`` and the
-    file."""
+    """Parse a strict JSON file, without the NaN and Infinity tokens or a
+    float literal beyond the float range; an unreadable file or bad JSON
+    is a ConfigError naming ``what`` and the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f, parse_constant=_reject_constant)
+            return json.load(f, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, a constant, not UTF-8

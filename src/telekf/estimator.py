@@ -26,18 +26,6 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * P + 0.5 * P.T  # P + P.T overflows above ~9e307
 
 
-def _psd_clip(M: np.ndarray, name: str) -> np.ndarray:
-    """Symmetrize and clip negative eigenvalues to zero; a non-finite
-    entry is a NumericalError naming the matrix."""
-    M = _symmetrize(np.asarray(M, dtype=float))
-    if not np.isfinite(M).all():
-        raise NumericalError(f"non-finite entries in {name}")
-    w, V = np.linalg.eigh(M)
-    if w.min() >= 0.0:
-        return M
-    return _symmetrize(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Process (Q) and measurement (R) noise covariances."""
@@ -47,16 +35,25 @@ class NoiseModel:
     provenance: str = "initial"  # "initial" | "empirical"
 
     def __post_init__(self):
+        """The one check of a covariance: square, finite, symmetric and
+        PSD up to 1e-12 max(1, max|M|); negative eigenvalues within that
+        tolerance are clipped to zero."""
         for name in ("Q", "R"):
             M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             if M.shape[0] != M.shape[1]:
                 raise DataError(f"{name} must be square, got {M.shape}")
-            clipped = _psd_clip(M, name)  # rejects NaN and inf before eigvalsh
-            if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
+            if not np.isfinite(M).all():
+                raise NumericalError(f"non-finite entries in {name}")
+            tol = 1e-12 * max(1.0, np.abs(M).max())
+            if np.abs(M - M.T).max() > tol:
                 raise DataError(f"{name} is not symmetric")
-            if np.linalg.eigvalsh(M).min() < -1e-12 * max(1.0, np.abs(M).max()):
+            M = _symmetrize(M)
+            w, V = np.linalg.eigh(M)
+            if w.min() < -tol:
                 raise DataError(f"{name} is not positive semidefinite")
-            object.__setattr__(self, name, clipped)
+            if w.min() < 0.0:
+                M = _symmetrize(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
+            object.__setattr__(self, name, M)
 
     @classmethod
     def initial(cls, order: int, m_out: int,
@@ -144,9 +141,7 @@ def _gain_schedule(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
     # an overflow shows up as a non-finite P or s, which raises below
     with np.errstate(over="ignore"):
         for k in range(1, n_samples):
-            P = A @ P_prev @ A.T + Q
-            P *= 0.5  # halved first: P + P.T overflows for entries above ~9e307
-            P += P.T
+            P = _symmetrize(A @ P_prev @ A.T + Q)
             try:
                 if not np.isfinite(P).all():
                     raise NumericalError("predicted covariance is not finite")
@@ -268,6 +263,5 @@ def estimate_noise_empirical(
         r_x = run.states[1:] - _map_rows(model.A, run.states[:-1]) - Bu
         R_emp = (r_y.T @ r_y) / n_samples
         Q_emp = (r_x.T @ r_x) / (n_samples - 1)
-        noise = NoiseModel(Q=_psd_clip(Q_emp, "Q"), R=_psd_clip(R_emp, "R"),
-                           provenance="empirical")
+        noise = NoiseModel(Q=Q_emp, R=R_emp, provenance="empirical")
     return noise

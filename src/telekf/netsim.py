@@ -173,9 +173,12 @@ def impair(clean: np.ndarray, scenario: NetworkScenario, dt: float,
     else:
         nd = scenario.nd_ms * ms_to_samples
     # A jitter term past the float range is an infinite offset, which the
-    # clamps below treat like any other offset past the stream's ends.
-    with np.errstate(over="ignore"):
+    # clamps below treat like any other offset past the stream's ends.  An
+    # infinite delay plus a -inf jitter term is NaN; the delay is never
+    # negative, so it decides: +inf, which delivers row 1.
+    with np.errstate(over="ignore", invalid="ignore"):
         offset = _round_half_up(nd + g * scenario.nj_ms * ms_to_samples)
+    offset[np.isnan(offset)] = np.inf
 
     k = np.arange(2, n + 1)  # 1-based sample indices
     # Lower clamp per the delay formula; upper clamp keeps negative jitter

@@ -210,8 +210,8 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
     by cmd_identify, grouping the channel entries' min and max by role;
     an unreadable file or a malformed document (bad matrix shapes and
     scaling, channel entries that do not match B's columns and C's rows,
-    and a NaN or Infinity token, included) is a DataError that names the
-    file."""
+    a NaN or Infinity token and a number beyond the float range included)
+    is a DataError that names the file."""
     try:
         doc = dataio.read_json(path, "model")
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
@@ -228,8 +228,8 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
         return model, dataio.NormalizationParams(
             *(dataio.ChannelScaling(*by_role[role])
               for role in ("input", "output")))
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError,
-            DataError) as exc:  # ValueError: non-numbers
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            ConfigError, DataError) as exc:  # ValueError: non-numbers
         raise DataError(
             f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
 

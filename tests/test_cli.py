@@ -743,9 +743,12 @@ class TestErrors:
         _model_text(last_max=float("inf")),
         _model_text(roles=("input",) * 3 + ("output",) * 2),
         _model_text(roles=("input",) * 2),
+        _model_text().replace('"max": 1.0', '"max": 1e400', 1),
+        _model_text(a=10**400),
     ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
             "non_square_A", "nan_entry", "nan_min", "infinite_max",
-            "extra_input_entry", "no_output_entries"])
+            "extra_input_entry", "no_output_entries", "max_beyond_float",
+            "huge_int_entry"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
                                            capsys, text):
         model = tmp_path / "bad.json"
@@ -819,6 +822,8 @@ class TestErrors:
         ('[{"nd_ms": Infinity, "nj_ms": 1.0, "np": 0.0}]',
          "bad JSON in scenarios"),
         ('[{"nd_ms": 1.0, "nj_ms": NaN, "np": 0.0}]', "bad JSON in scenarios"),
+        ('[{"nd_ms": 1e400, "nj_ms": 1.0, "np": 0.0}]',
+         "number 1e400 beyond the float range"),
         (json.dumps([{"nd_ms": -1.0, "nj_ms": 1.0, "np": 0.0}]),
          "must be finite and non-negative"),
         (json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 1.5}]),
@@ -847,7 +852,7 @@ class TestErrors:
     ], ids=["bad_json", "missing_nd_ms", "non_numeric_nj_ms", "missing_np",
             "scalar_delay_range", "not_object", "three_delay_bounds",
             "reversed_delay_range", "negative_delay_range", "infinite_delay",
-            "nan_jitter", "negative_delay", "loss_above_one", "string_delay",
+            "nan_jitter", "delay_beyond_float", "negative_delay", "loss_above_one", "string_delay",
             "bool_jitter", "float_seed", "misspelt_key", "dumped_nan_loss",
             "dumped_infinite_jitter", "dumped_infinite_delay_range",
             "string_entry", "huge_int_delay", "np_pct_disagrees",
@@ -918,6 +923,14 @@ class TestErrors:
                    str(dataset_csv), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_float_beyond_range_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"eps_q": 1e400}')
+        assert main(["identify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad JSON in config {cfg}" in err
+        assert "number 1e400 beyond the float range" in err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

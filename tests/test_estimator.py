@@ -345,6 +345,23 @@ class TestNoiseModel:
         nm = estimator.NoiseModel(Q=1e308 * np.eye(2), R=np.eye(1))
         np.testing.assert_array_equal(nm.Q, 1e308 * np.eye(2))
 
+    def test_symmetric_psd_is_stored_unchanged(self, rng):
+        X = rng.standard_normal((5, 3))
+        Q = X.T @ X  # exactly symmetric, eigenvalues well above zero
+        assert np.array_equal(Q, Q.T)
+        nm = estimator.NoiseModel(Q=Q, R=np.eye(1))
+        assert nm.Q.tobytes() == Q.tobytes()
+
+    def test_small_negative_eigenvalue_is_clipped(self, rng):
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        Q = V @ np.diag([2.0, 0.5, -1e-14]) @ V.T
+        Q = 0.5 * (Q + Q.T)
+        assert np.linalg.eigvalsh(Q).min() < -5e-15
+        nm = estimator.NoiseModel(Q=Q, R=np.eye(1))
+        np.testing.assert_array_equal(nm.Q, nm.Q.T)
+        scale = max(1.0, np.abs(Q).max())
+        assert np.linalg.eigvalsh(nm.Q).min() >= -1e-15 * scale
+
     def test_overflowing_bootstrap_is_numerical_error(self):
         # finite outputs whose residual products overflow: the estimated
         # covariances are non-finite, which is reported before any

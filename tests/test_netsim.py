@@ -105,6 +105,16 @@ class TestImpair:
                                       [3, 6, 8, 13, 14, 17, 19])
         assert set(s.source_index.tolist()) == {1, 20}
 
+    def test_infinite_delay_decides_against_infinite_jitter(self):
+        # at 2 kHz a 1e308 ms delay is +inf samples and a negative jitter
+        # draw -inf: their NaN sum is the delay's +inf, so every sample
+        # delivers row 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = netsim.impair(ramp(20), netsim.NetworkScenario(
+                1e308, 1e308, 0, seed=3), 0.5e-3)
+        np.testing.assert_array_equal(s.source_index, np.ones(20))
+
     def test_preconditions(self):
         with pytest.raises(DataError):
             netsim.impair(np.zeros((1, 1)), netsim.NetworkScenario(0, 0, 0), DT)
