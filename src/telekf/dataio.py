@@ -10,9 +10,9 @@ Parsing and formatting CSV numbers is bound by the interpreter (``strtod``
 and ``repr`` under the GIL), so a long table is cut into one part per
 usable CPU and each part past the first runs in a forked child
 (``_in_parts``).  A part of a CSV file reads its own byte range and
-parses it from memory.  The parts give the same array or bytes as one
-serial pass; any failure redoes the whole job serially, so error
-messages are the serial ones too.
+parses it from memory, a part of a table formats its own array rows.
+The parts give the same array or bytes as one serial pass; any failure
+redoes the whole job serially, so error messages are the serial ones too.
 """
 
 from __future__ import annotations
@@ -257,9 +257,9 @@ def _find_bad_cell(path, header: list[str]) -> str | None:
     """Describe the first body row whose field count is off or whose cell
     is not a number, rescanning the file row by row (error path only);
     None when the scan finds no such row or cannot read the file (a byte
-    that is not text, a field too long for csv)."""
+    that is not UTF-8, a field too long for csv)."""
     try:
-        with open(path, newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             rows = csv.reader(f)
             next(rows)
             for r, row in enumerate((row for row in rows if row), 1):
@@ -374,13 +374,14 @@ def _loadtxt(lines) -> np.ndarray:
                           quotechar='"', ndmin=2)
 
 
-def _load_parts(path, encoding: str, width: int) -> np.ndarray | None:
+def _load_parts(path, width: int) -> np.ndarray | None:
     """The body of a CSV dataset parsed in parts (_in_parts) cut at line
     starts, each part reading its own byte range of the file, or None
     when it is to be parsed serially: the file is short or not a regular
     file, its header is not one plain LF or CRLF line, its body has no
     line feed past the first cut (CR line ends), or a part fails (a
-    double quote in its bytes included)."""
+    double quote in its bytes included).  A part never starts the file,
+    so it holds no byte order mark to drop."""
     st = os.stat(path)
     cuts = _cuts(st.st_size, st.st_size)
     if not stat.S_ISREG(st.st_mode) or len(cuts) < 3:
@@ -402,7 +403,7 @@ def _load_parts(path, encoding: str, width: int) -> np.ndarray | None:
             data = f.read(hi - lo)
         if b'"' in data:  # the cut's line end may lie inside a quoted cell
             raise ValueError("a quoted cell may span a part boundary")
-        part = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding=encoding,
+        part = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                          newline=""))
         if part.size and part.shape[1] != width:  # a blank part is (0, 1)
             raise ValueError("part rows differ in width from the header")
@@ -422,10 +423,11 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     uniformly (each step within ``TIME_STEP_RTOL`` of the first, relative).
     dt is that first step unless ``dt`` is given explicitly.  The body is
     comma-separated numbers, optionally double-quoted or space-padded,
-    with LF, CRLF or CR line ends; blank lines are skipped.
+    with LF, CRLF or CR line ends; blank lines are skipped.  The file is
+    UTF-8, optionally after a byte order mark; other bytes are a DataError.
     """
     try:
-        f = open(path, newline="")
+        f = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
     with f:
@@ -433,6 +435,9 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
             header = next(csv.reader(f))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            # the header read decodes the file's first chunk
+            raise DataError(f"{path}: {exc}") from exc
         header = [h.strip() for h in header]
         has_time = bool(header) and header[0] == "t"
         for name in header[1:] if has_time else header:
@@ -443,7 +448,7 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
         y_idx = [i for i, name in enumerate(header) if name[:2] == "y:"]
         if not u_idx or not y_idx:
             raise DataError(f"{path}: need at least one u: and one y: column")
-        data = _load_parts(path, f.encoding, len(header))
+        data = _load_parts(path, len(header))
         if data is None:
             try:
                 data = _loadtxt(f)
@@ -480,30 +485,29 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     )
 
 
-def table_text(columns: list[str], rows: list[list],
-               stamp: str | None = None, first_index: int | None = 0) -> str:
-    """An optional ``stamp`` line, the ``columns`` header, then one CSV
-    line per row of Python numbers (as from ``ndarray.tolist()``), led by
-    its index counted from ``first_index`` unless that is None.  Cells are
-    ``repr`` with CRLF line ends: the text ``csv.writer`` gives for
-    ``repr(float(v))`` cells, to be written without newline translation.
-    A long table is formatted in parts (_in_parts), with the same text."""
-    def lines(lo: int, hi: int) -> str:
+def table_bytes(columns: list[str], table: np.ndarray,
+                stamp: str | None = None, first_index: int | None = 0) -> bytes:
+    """The optional ``stamp`` line, the ``columns`` header and one CSV line
+    per row of the 2-D array ``table``, led by its index from
+    ``first_index`` unless that is None, as UTF-8: ``repr`` cells of the
+    row's ``tolist()`` (an object array keeps its ints), CRLF line ends,
+    the bytes ``csv.writer`` gives for ``repr(float(v))`` cells.  A long
+    table is formatted in parts (_in_parts), each converting its own rows."""
+    def lines(lo: int, hi: int) -> bytes:
+        rows = table[lo:hi].tolist()
         if first_index is None:
             return "".join(f"{','.join(map(repr, r))}\r\n"
-                           for r in rows[lo:hi])
-        return "".join(f"{k},{','.join(map(repr, r))}\r\n"
-                       for k, r in enumerate(rows[lo:hi], first_index + lo))
+                           for r in rows).encode()
+        return "".join(f"{k},{','.join(map(repr, r))}\r\n" for k, r
+                       in enumerate(rows, first_index + lo)).encode()
 
-    n = len(rows)
-    parts = _in_parts(_cuts(n, n * len(lines(0, 1))),
-                      lambda lo, hi: lines(lo, hi).encode())
+    n = len(table)
+    body = _in_parts(_cuts(n, n * len(lines(0, 1))), lines) or [lines(0, n)]
     head = io.StringIO()
     if stamp is not None:
         head.write(stamp + "\n")
     csv.writer(head).writerow(columns)
-    body = [lines(0, n)] if parts is None else [p.decode() for p in parts]
-    return "".join([head.getvalue(), *body])
+    return b"".join([head.getvalue().encode(), *body])
 
 
 def save_dataset(dataset: TrajectoryDataset, path) -> None:
@@ -512,6 +516,6 @@ def save_dataset(dataset: TrajectoryDataset, path) -> None:
     header = (["t"] + [f"u:{n}" for n in dataset.input_names]
               + [f"y:{n}" for n in dataset.output_names])
     times = np.arange(dataset.n_samples)[:, None] * dataset.dt
-    Path(path).write_text(table_text(
-        header, np.hstack([times, dataset.inputs, dataset.outputs]).tolist(),
-        first_index=None), newline="")
+    Path(path).write_bytes(table_bytes(
+        header, np.hstack([times, dataset.inputs, dataset.outputs]),
+        first_index=None))

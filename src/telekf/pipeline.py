@@ -93,11 +93,11 @@ def _stamp(config: ExperimentConfig) -> str:
     return f"# config_hash={config.config_hash} metric_def={config.metric_def}"
 
 
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to the output file ``path`` with no newline
-    translation, its OSError made a ConfigError that names the file."""
+def _write(path: Path, data: bytes) -> None:
+    """Write ``data`` to the output file ``path``, its OSError made a
+    ConfigError that names the file."""
     try:
-        path.write_text(text, newline="")
+        path.write_bytes(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -107,7 +107,8 @@ def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
     follows doc's own keys (or keeps its place when doc has one), then
     ``extra``; a non-finite float is written as null."""
     doc = {**doc, "config_hash": config.config_hash, **extra}
-    _write(path, json.dumps(_finite_or_none(doc), indent=2, allow_nan=False))
+    _write(path, json.dumps(_finite_or_none(doc), indent=2,
+                            allow_nan=False).encode())
 
 
 def _finite_or_none(doc):
@@ -180,8 +181,8 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "norm_params": {"channels": channels}})
 
     scree_path = out / "singular_values.csv"
-    _write(scree_path, dataio.table_text(
-        ["index", "singular_value"], decomp.singular_values[:, None].tolist(),
+    _write(scree_path, dataio.table_bytes(
+        ["index", "singular_value"], decomp.singular_values[:, None],
         stamp=_stamp(config), first_index=1))
 
     ss = decomp.singular_values
@@ -304,7 +305,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     rows = []
     reports = []
     # observed stream bytes -> (tag, noise, report, gain_converged_step,
-    # run CSV text) of the first scenario that delivered it
+    # run CSV bytes) of the first scenario that delivered it
     first_seen = {}
     for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
@@ -316,24 +317,24 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
             if key not in first_seen:
                 noise, run, report = score_stream(
                     config, model, norm.inputs, stream.observed, norm.outputs)
-                run_text = dataio.table_text(run_cols, np.hstack(
-                    [stream.observed, run.estimates, run.innovations]
-                ).tolist(), stamp=_stamp(config))
+                run_csv = dataio.table_bytes(run_cols, np.hstack(
+                    [stream.observed, run.estimates, run.innovations]),
+                    stamp=_stamp(config))
                 first_seen[key] = (tag, noise, report,
-                                   run.gain_converged_step, run_text)
+                                   run.gain_converged_step, run_csv)
         except (DataError, NumericalError) as exc:  # record; keep sweeping
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        first, noise, report, converged, run_text = first_seen[key]
+        first, noise, report, converged, run_csv = first_seen[key]
         same_as = None if first == tag else first
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
         reports.append(report)
 
-        _write(out / f"{tag}_run.csv", run_text)
+        _write(out / f"{tag}_run.csv", run_csv)
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
@@ -351,7 +352,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     summary.write(_stamp(config) + "\n")
     csv.writer(summary).writerows([columns] + rows)
     summary_path = out / "sweep_summary.csv"
-    _write(summary_path, summary.getvalue())
+    _write(summary_path, summary.getvalue().encode())
     return {"summary": summary_path, "reports": reports, "model": model}
 
 
@@ -372,9 +373,8 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     series_path = out / "validation_series.csv"
     cols = (["k"] + [f"truth_{n}" for n in norm.output_names]
             + [f"pred_{n}" for n in norm.output_names])
-    _write(series_path, dataio.table_text(
-        cols, np.hstack([norm.outputs, predicted]).tolist(),
-        stamp=_stamp(config)))
+    _write(series_path, dataio.table_bytes(
+        cols, np.hstack([norm.outputs, predicted]), stamp=_stamp(config)))
     return {"report": report, "paths": {"report": report_path,
                                         "series": series_path}}
 
@@ -393,10 +393,10 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     path = _out_dir(config) / "impaired.csv"
     cols = (["k"] + [f"obs_{n}" for n in norm.output_names]
             + ["source_index", "lost"])
-    rows = [obs + [src, lost] for obs, src, lost in zip(
-        stream.observed.tolist(), stream.source_index.tolist(),
-        stream.loss_mask.astype(int).tolist())]
-    _write(path, dataio.table_text(cols, rows, stamp=_stamp(config)))
+    # an object array keeps source_index and lost integers
+    table = np.hstack([stream.observed, stream.source_index[:, None],
+                       stream.loss_mask[:, None].astype(int)], dtype=object)
+    _write(path, dataio.table_bytes(cols, table, stamp=_stamp(config)))
     return {"stream": stream, "path": path, "scenario": scenario}
 
 

@@ -622,7 +622,11 @@ class TestImpair:
         assert rc == 0
         lines = (out / "impaired.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "k"
+        assert lines[1].split(",")[-2:] == ["source_index", "lost"]
         assert len(lines) == 802
+        cells = [line.split(",")[-2:] for line in lines[2:]]
+        assert all(src.isdigit() and lost in ("0", "1")
+                   for src, lost in cells)
 
     def test_bad_index(self, tmp_path, dataset_csv, capsys):
         rc = main(["impair", "--dataset", str(dataset_csv),
@@ -636,6 +640,15 @@ class TestErrors:
         rc = main(["identify", "--dataset", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_non_utf8_header_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"u:\xe90,y:b\n1,2\n3,4\n")
+        rc = main(["identify", "--dataset", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_one_block_row_is_data_error(self, tmp_path, dataset_csv,
                                          capsys):

@@ -150,7 +150,7 @@ class TestLoaderDialect:
         ref = old_parse(p)
         np.testing.assert_array_equal(ds.inputs, ref[:, 1:2])
         np.testing.assert_array_equal(ds.outputs, ref[:, 2:])
-        parts = dataio._load_parts(p, "utf-8", 4)
+        parts = dataio._load_parts(p, 4)
         if kind == "cr":
             # no line feed to cut at: one serial part, no fork
             assert not forks and parts is None
@@ -182,15 +182,39 @@ class TestLoaderDialect:
         with pytest.raises(DataError, match=re.escape(message)):
             dataio.load_dataset(p)
 
-    @pytest.mark.parametrize("bad", [b"1,\xff\n", b"1," + b"x" * 200_000],
-                             ids=["non_utf8_byte", "overlong_field"])
+    @pytest.mark.parametrize("data", [
+        b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1,\xff\n",
+        b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1," + b"x" * 200_000,
+        b"u:\xe90,y:b\n1,2\n3,4\n",
+        b"u:a,y:b\n1,2\n" + b"1,\xe9\n" + b"1,2\n" * 100,
+        b"u:" + b"a" * 200_000 + b",y:b\n1,2\n3,4\n",
+    ], ids=["non_utf8_byte", "overlong_field", "non_utf8_header",
+            "non_utf8_byte_in_first_chunk", "overlong_header_field"])
     def test_unreadable_cell_past_first_chunk_is_data_error(self, tmp_path,
-                                                             bad):
-        # the row scan cannot read these cells either; numpy's message stays
+                                                             data):
+        # past the first chunk the row scan cannot read these cells either,
+        # and numpy's message stays; within it the header read fails
         p = tmp_path / "d.csv"
-        p.write_bytes(b"u:a,y:b\n" + b"1,2\n" * 4096 + bad)
+        p.write_bytes(data)
         with pytest.raises(DataError, match=str(p.name)):
             dataio.load_dataset(p)
+
+    @pytest.mark.parametrize("parts", [False, True], ids=["serial", "parts"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, request, parts):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        text = "t,u:a,y:b\n" + "".join(f"{k},{k % 7},{k % 5}\n"
+                                       for k in range(30))
+        plain = write_csv(tmp_path / "plain.csv", text)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ref = dataio.load_dataset(plain)
+        forks = request.getfixturevalue("forks") if parts else []
+        ds = dataio.load_dataset(marked)
+        assert len(forks) == (2 if parts else 0)
+        assert (ds.input_names, ds.output_names, ds.dt) == \
+            (ref.input_names, ref.output_names, ref.dt)
+        np.testing.assert_array_equal(ds.inputs, ref.inputs)
+        np.testing.assert_array_equal(ds.outputs, ref.outputs)
 
     def test_ragged_row_is_numbered(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\n\n3,4,5\n6,7\n")
@@ -254,30 +278,29 @@ class TestWriteTable:
         (None, None),
     ])
 
-    def text_and_reference(self, stamp, first_index):
+    def bytes_and_reference(self, stamp, first_index):
         table = np.array(self.VALUES).reshape(4, 3)
         columns = ["a", "b", "c"] if first_index is None else \
             ["k", "a", "b", "c"]
-        text = dataio.table_text(columns, table.tolist(), stamp=stamp,
-                                 first_index=first_index)
-        return text.encode(), self.reference(columns, table, stamp,
-                                             first_index)
+        data = dataio.table_bytes(columns, table, stamp=stamp,
+                                  first_index=first_index)
+        return data, self.reference(columns, table, stamp, first_index)
 
     @CASES
     def test_bytes_match_csv_writer(self, stamp, first_index):
-        text, reference = self.text_and_reference(stamp, first_index)
-        assert text == reference
+        data, reference = self.bytes_and_reference(stamp, first_index)
+        assert data == reference
 
     @CASES
     def test_parts_match_csv_writer(self, forks, stamp, first_index):
-        text, reference = self.text_and_reference(stamp, first_index)
-        assert text == reference
+        data, reference = self.bytes_and_reference(stamp, first_index)
+        assert data == reference
         assert len(forks) == 2
 
     def test_integer_cells_stay_integers(self):
-        text = dataio.table_text(["k", "x", "src", "lost"],
-                                 [[0.5, 3, 0], [-0.0, 0, 1]])
-        assert text.encode() == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
+        table = np.array([[0.5, 3, 0], [-0.0, 0, 1]], dtype=object)
+        data = dataio.table_bytes(["k", "x", "src", "lost"], table)
+        assert data == b"k,x,src,lost\r\n0,0.5,3,0\r\n1,-0.0,0,1\r\n"
 
 
 class TestParts:
@@ -314,8 +337,8 @@ class TestParts:
     def test_failing_fork_falls_back_to_serial(self, tmp_path, monkeypatch):
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n" + "\n".join(self.ROWS))
         serial = dataio.load_dataset(p)
-        rows = np.hstack([serial.inputs, serial.outputs]).tolist()
-        serial_text = dataio.table_text(["k", "a", "b"], rows)
+        table = np.hstack([serial.inputs, serial.outputs])
+        serial_bytes = dataio.table_bytes(["k", "a", "b"], table)
 
         def fork():
             raise OSError("no more processes")
@@ -326,7 +349,7 @@ class TestParts:
         ds = dataio.load_dataset(p)
         np.testing.assert_array_equal(ds.inputs, serial.inputs)
         np.testing.assert_array_equal(ds.outputs, serial.outputs)
-        assert dataio.table_text(["k", "a", "b"], rows) == serial_text
+        assert dataio.table_bytes(["k", "a", "b"], table) == serial_bytes
 
 
 class TestNormalize:
