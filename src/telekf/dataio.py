@@ -9,8 +9,8 @@ the sample period comes from the caller (default 30 Hz).
 Parsing and formatting CSV numbers is bound by the interpreter (``strtod``
 and ``repr`` under the GIL), so a long table is cut into one part per
 usable CPU and each part past the first runs in a forked child
-(``_in_parts``).  A part of a CSV file reads its own byte range and
-parses it from memory, a part of a table formats its own array rows.
+(``_in_parts``).  A CSV file is read once, and a part of it parses a
+slice of those bytes; a part of a table formats its own array rows.
 The parts give the same array or bytes as one serial pass; any failure
 redoes the whole job serially, so error messages are the serial ones too.
 """
@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import os
-import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -253,26 +252,26 @@ def _cell(row: int, col: int, header: list[str]) -> str:
     return f"row {row}, column {col} ({header[col]})"
 
 
-def _find_bad_cell(path, header: list[str]) -> str | None:
+def _find_bad_cell(raw: bytes, header: list[str]) -> str | None:
     """Describe the first body row whose field count is off or whose cell
-    is not a number, rescanning the file row by row (error path only);
-    None when the scan finds no such row or cannot read the file (a byte
-    that is not UTF-8, a field too long for csv)."""
+    is not a number, rescanning the file's bytes row by row (error path
+    only); None when the scan finds no such row or cannot read the bytes
+    (a byte that is not UTF-8, a field too long for csv)."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as f:
-            rows = csv.reader(f)
-            next(rows)
-            for r, row in enumerate((row for row in rows if row), 1):
-                if len(row) != len(header):
-                    return (f"data row {r} has {len(row)} fields, expected "
-                            f"{len(header)}")
-                for c, cell in enumerate(row):
-                    try:
-                        # np.loadtxt refuses the digit separators float() takes
-                        float(cell.replace("_", "?"))
-                    except ValueError:
-                        return (f"non-numeric value {cell!r} at "
-                                f"{_cell(r, c, header)}")
+        rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig",
+                                           newline=""))
+        next(rows)
+        for r, row in enumerate((row for row in rows if row), 1):
+            if len(row) != len(header):
+                return (f"data row {r} has {len(row)} fields, expected "
+                        f"{len(header)}")
+            for c, cell in enumerate(row):
+                try:
+                    # np.loadtxt refuses the digit separators float() takes
+                    float(cell.replace("_", "?"))
+                except ValueError:
+                    return (f"non-numeric value {cell!r} at "
+                            f"{_cell(r, c, header)}")
     except (ValueError, csv.Error):
         pass
     return None
@@ -374,33 +373,23 @@ def _loadtxt(lines) -> np.ndarray:
                           quotechar='"', ndmin=2)
 
 
-def _load_parts(path, width: int) -> np.ndarray | None:
-    """The body of a CSV dataset parsed in parts (_in_parts) cut at line
-    starts, each part reading its own byte range of the file, or None
-    when it is to be parsed serially: the file is short or not a regular
-    file, its header is not one plain LF or CRLF line, its body has no
-    line feed past the first cut (CR line ends), or a part fails (a
-    double quote in its bytes included).  A part never starts the file,
-    so it holds no byte order mark to drop."""
-    st = os.stat(path)
-    cuts = _cuts(st.st_size, st.st_size)
-    if not stat.S_ISREG(st.st_mode) or len(cuts) < 3:
-        return None
-    with open(path, "rb") as f:
-        head = f.readline(_PART_BYTES)
-        if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
-            return None  # the header record may not end at this line feed
-        bounds = [len(head), st.st_size]
-        for cut in cuts[1:-1]:
-            f.seek(cut - 1)
-            while (chunk := f.readline(_PART_BYTES)) and chunk[-1:] != b"\n":
-                pass
-            bounds.append(f.tell())
+def _load_parts(raw: bytes, width: int) -> np.ndarray | None:
+    """The body of a CSV dataset's bytes ``raw`` parsed in parts
+    (_in_parts) cut at line starts, each part parsing its own slice, or
+    None when it is to be parsed serially: the bytes are short, the
+    header is not one plain LF or CRLF line, the body has no line feed
+    past the first cut (CR line ends), or a part fails (a double quote in
+    its bytes included).  A part never starts the file, so it holds no
+    byte order mark to drop."""
+    cuts = _cuts(len(raw), len(raw))
+    head = raw[:raw.find(b"\n") + 1]
+    if len(cuts) < 3 or not head or b'"' in head or b"\r" in head[:-2]:
+        return None  # the header record may not end at this line feed
+    bounds = [len(head), len(raw)]
+    bounds += [raw.find(b"\n", cut - 1) + 1 or len(raw) for cut in cuts[1:-1]]
 
     def parse(lo: int, hi: int) -> bytes:
-        with open(path, "rb") as f:
-            f.seek(lo)
-            data = f.read(hi - lo)
+        data = raw[lo:hi]
         if b'"' in data:  # the cut's line end may lie inside a quoted cell
             raise ValueError("a quoted cell may span a part boundary")
         part = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
@@ -425,36 +414,37 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     comma-separated numbers, optionally double-quoted or space-padded,
     with LF, CRLF or CR line ends; blank lines are skipped.  The file is
     UTF-8, optionally after a byte order mark; other bytes are a DataError.
+    The file is read once, so a pipe parses like a regular file.
     """
     try:
-        f = open(path, encoding="utf-8-sig", newline="")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
-    with f:
+    f = io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline="")
+    try:
+        header = next(csv.reader(f))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # the header read decodes the file's first chunk
+        raise DataError(f"{path}: {exc}") from exc
+    header = [h.strip() for h in header]
+    has_time = bool(header) and header[0] == "t"
+    for name in header[1:] if has_time else header:
+        if name[:2] not in ("u:", "y:"):
+            raise DataError(
+                f"{path}: column '{name}' lacks a u:/y: role prefix")
+    u_idx = [i for i, name in enumerate(header) if name[:2] == "u:"]
+    y_idx = [i for i, name in enumerate(header) if name[:2] == "y:"]
+    if not u_idx or not y_idx:
+        raise DataError(f"{path}: need at least one u: and one y: column")
+    data = _load_parts(raw, len(header))
+    if data is None:
         try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            # the header read decodes the file's first chunk
-            raise DataError(f"{path}: {exc}") from exc
-        header = [h.strip() for h in header]
-        has_time = bool(header) and header[0] == "t"
-        for name in header[1:] if has_time else header:
-            if name[:2] not in ("u:", "y:"):
-                raise DataError(
-                    f"{path}: column '{name}' lacks a u:/y: role prefix")
-        u_idx = [i for i, name in enumerate(header) if name[:2] == "u:"]
-        y_idx = [i for i, name in enumerate(header) if name[:2] == "y:"]
-        if not u_idx or not y_idx:
-            raise DataError(f"{path}: need at least one u: and one y: column")
-        data = _load_parts(path, len(header))
-        if data is None:
-            try:
-                data = _loadtxt(f)
-            except ValueError as exc:
-                where = _find_bad_cell(path, header) or exc
-                raise DataError(f"{path}: {where}") from exc
+            data = _loadtxt(f)
+        except ValueError as exc:
+            where = _find_bad_cell(raw, header) or exc
+            raise DataError(f"{path}: {where}") from exc
     if data.shape[0] < 2:
         raise DataError(f"{path}: fewer than 2 data rows")
     if data.shape[1] != len(header):

@@ -149,8 +149,12 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
     e, t = estimates[burn_in:], truth[burn_in:]
     channels = e.shape[1]
     rmses = np.array([rmse(e[:, j], t[:, j]) for j in range(channels)])
-    accs = np.array([accuracy_pct(e[:, j], t[:, j], metric_def)
-                     for j in range(channels)])
+    accs = np.empty(channels)
+    for j in range(channels):
+        try:
+            accs[j] = accuracy_pct(e[:, j], t[:, j], metric_def)
+        except DataError as exc:  # a constant truth channel
+            raise DataError(f"output channel {j}: {exc}") from None
     white = np.full(channels, np.nan)
     if innovations is not None:
         innovations = as_series(innovations)

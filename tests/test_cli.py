@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -33,6 +35,22 @@ def dataset_csv(tmp_path):
     dataio.save_dataset(dataio.TrajectoryDataset(inputs=u, outputs=y,
                                                  dt=1 / 30), path)
     return path
+
+
+@pytest.fixture()
+def constant_output_csv(tmp_path, dataset_csv):
+    """dataset_csv with its second output channel, y:y1, all 3.0."""
+    ds = dataio.load_dataset(dataset_csv)
+    outputs = ds.outputs.copy()
+    outputs[:, 1] = 3.0
+    path = tmp_path / "constant.csv"
+    dataio.save_dataset(dataio.TrajectoryDataset(
+        inputs=ds.inputs, outputs=outputs, dt=ds.dt), path)
+    return path
+
+
+ZERO_RANGE = ("output channel 1: truth range is zero; range-normalized "
+              "accuracy undefined")
 
 
 @pytest.fixture()
@@ -263,6 +281,14 @@ class TestValidate:
                    "--out", str(tmp_path / "o"), "--block-rows", "10"])
         assert rc == 1
 
+    def test_constant_output_names_channel(self, tmp_path,
+                                           constant_output_csv, capsys):
+        rc = main(["validate", "--dataset", str(constant_output_csv),
+                   "--validation-dataset", str(constant_output_csv),
+                   "--out", str(tmp_path / "o"), "--block-rows", "10"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {ZERO_RANGE}\n"
+
 
 class TestModelAndData:
     @pytest.mark.parametrize("command, held_out", [
@@ -430,6 +456,22 @@ class TestSweep:
                                 r"variance inf", line.split(",")[-1])
         assert not list(out.glob("*_run.csv"))
         assert not list(out.glob("*_report.json"))
+
+    def test_constant_output_names_channel(self, tmp_path,
+                                           constant_output_csv):
+        out = tmp_path / "out"
+        assert main(["identify", "--dataset", str(constant_output_csv),
+                     "--block-rows", "10", "--out", str(out)]) == 0
+        rc = main(["sweep", "--dataset", str(constant_output_csv),
+                   "--model", str(out / "model.json"), "--out", str(out)])
+        assert rc == 0
+        model = json.loads((out / "model.json").read_text())
+        assert [c["constant"] for c in model["norm_params"]["channels"]] \
+            == [False, False, False, True]
+        rows = list(csv.reader(io.StringIO(
+            (out / "sweep_summary.csv").read_text())))[2:]
+        assert len(rows) == 6
+        assert rows[0][-1] == f"error: {ZERO_RANGE}"
 
     def test_huge_measurement_noise_scale_completes(self, tmp_path,
                                                      dataset_csv):

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -150,7 +151,7 @@ class TestLoaderDialect:
         ref = old_parse(p)
         np.testing.assert_array_equal(ds.inputs, ref[:, 1:2])
         np.testing.assert_array_equal(ds.outputs, ref[:, 2:])
-        parts = dataio._load_parts(p, 4)
+        parts = dataio._load_parts(p.read_bytes(), 4)
         if kind == "cr":
             # no line feed to cut at: one serial part, no fork
             assert not forks and parts is None
@@ -350,6 +351,65 @@ class TestParts:
         np.testing.assert_array_equal(ds.inputs, serial.inputs)
         np.testing.assert_array_equal(ds.outputs, serial.outputs)
         assert dataio.table_bytes(["k", "a", "b"], table) == serial_bytes
+
+
+class TestOneRead:
+    """A dataset file is read once, and every parse works from those
+    bytes: a FIFO parses like a regular file, and a file put in its place
+    during the load is not read."""
+
+    def test_fifo_bad_cell_is_named(self, tmp_path):
+        text = b"t,u:a,y:b\n0,1,2\n1,3,x\n2,4,5\n"
+        message = "non-numeric value 'x' at row 2, column 2 (y:b)"
+        regular = tmp_path / "d.csv"
+        regular.write_bytes(text)
+        with pytest.raises(DataError, match=re.escape(f"{regular}: {message}")):
+            dataio.load_dataset(regular)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def feed():
+            fifo.write_bytes(text)
+            # a reader that opens the FIFO again gets an empty stream
+            # instead of waiting for a writer forever
+            while not done.wait(0.01):
+                try:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                except OSError:  # ENXIO: no reader
+                    pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(DataError,
+                               match=re.escape(f"{fifo}: {message}")):
+                dataio.load_dataset(fifo)
+        finally:
+            done.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_file_replaced_mid_load_is_not_read(self, tmp_path, forks,
+                                                monkeypatch):
+        p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "".join(
+            f"{k},{k % 7},{k % 5}\n" for k in range(30)))
+        swap = write_csv(tmp_path / "swap.csv", "t,y:b,u:a\n" + "".join(
+            f"{k},{k % 5},{k % 7}\n" for k in range(30)))
+        ref = dataio.load_dataset(p)
+        counted_fork = os.fork
+
+        def fork():
+            if swap.exists():  # at the first fork only
+                os.replace(swap, p)
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        forks.clear()
+        ds = dataio.load_dataset(p)
+        assert len(forks) == 2 and not swap.exists()
+        np.testing.assert_array_equal(ds.inputs, ref.inputs)
+        np.testing.assert_array_equal(ds.outputs, ref.outputs)
 
 
 class TestNormalize:
