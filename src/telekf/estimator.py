@@ -26,43 +26,39 @@ def _symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * P + 0.5 * P.T  # P + P.T overflows above ~9e307
 
 
+def _covariance(M, name: str) -> np.ndarray:
+    """The one check of a covariance (Q, R or a given P0): square, finite,
+    symmetric and PSD up to 1e-12 max(1, max|M|); negative eigenvalues
+    within that tolerance are clipped to zero."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[0] != M.shape[1]:
+        raise DataError(f"{name} must be square, got {M.shape}")
+    if not np.isfinite(M).all():
+        raise NumericalError(f"non-finite entries in {name}")
+    tol = 1e-12 * max(1.0, np.abs(M).max())
+    if np.abs(M - M.T).max() > tol:
+        raise DataError(f"{name} is not symmetric")
+    M = _symmetrize(M)
+    w, V = np.linalg.eigh(M)
+    if w.min() < -tol:
+        raise DataError(f"{name} is not positive semidefinite")
+    if w.min() < 0.0:
+        M = _symmetrize(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
+    return M
+
+
 @dataclass(frozen=True)
 class NoiseModel:
-    """Process (Q) and measurement (R) noise covariances."""
+    """Process (Q) and measurement (R) noise covariances; see _covariance."""
 
     Q: np.ndarray
     R: np.ndarray
     provenance: str = "initial"  # "initial" | "empirical"
 
     def __post_init__(self):
-        """The one check of a covariance: square, finite, symmetric and
-        PSD up to 1e-12 max(1, max|M|); negative eigenvalues within that
-        tolerance are clipped to zero."""
         for name in ("Q", "R"):
-            M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if M.shape[0] != M.shape[1]:
-                raise DataError(f"{name} must be square, got {M.shape}")
-            if not np.isfinite(M).all():
-                raise NumericalError(f"non-finite entries in {name}")
-            tol = 1e-12 * max(1.0, np.abs(M).max())
-            if np.abs(M - M.T).max() > tol:
-                raise DataError(f"{name} is not symmetric")
-            M = _symmetrize(M)
-            w, V = np.linalg.eigh(M)
-            if w.min() < -tol:
-                raise DataError(f"{name} is not positive semidefinite")
-            if w.min() < 0.0:
-                M = _symmetrize(V @ np.diag(np.maximum(w, 0.0)) @ V.T)
-            object.__setattr__(self, name, M)
-
-    @classmethod
-    def initial(cls, order: int, m_out: int,
-                eps_q: float = 1e-4, eps_r: float = 1e-4) -> "NoiseModel":
-        """Small isotropic guesses Q = eps_q I, R = eps_r I."""
-        if eps_q <= 0 or eps_r <= 0:
-            raise DataError("eps_q and eps_r must be positive")
-        return cls(Q=eps_q * np.eye(order), R=eps_r * np.eye(m_out),
-                   provenance="initial")
+            object.__setattr__(self, name,
+                               _covariance(getattr(self, name), name))
 
     def to_dict(self) -> dict:
         return {"Q": self.Q.tolist(), "R": self.R.tolist(),
@@ -185,8 +181,9 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     and one blocked affine pass gives the rest (sysid._affine_pass: blocks
     of _BLOCK samples, whose starts a nested pass on (M A)^_BLOCK carries
     across on long streams; each level halves its block while one of its
-    powers overflows).  An innovation variance that is not positive and
-    finite raises NumericalError naming the sample.
+    powers overflows).  A given P0 passes the check of Q and R
+    (_covariance) and must be order x order.  An innovation variance that
+    is not positive and finite raises NumericalError naming the sample.
     """
     z_seq = as_series(measurements)
     Bu, Du = model.input_terms(inputs)
@@ -201,7 +198,9 @@ def run_filter(model: StateSpaceModel, noise: NoiseModel, inputs: np.ndarray,
     z = z_seq - Du  # D does not enter the gains; the filter works on z - D u
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    P0 = np.eye(n) if P0 is None else _symmetrize(np.atleast_2d(np.asarray(P0, dtype=float)))
+    P0 = np.eye(n) if P0 is None else _covariance(P0, "P0")
+    if P0.shape != (n, n):
+        raise DataError(f"P0 is {P0.shape}, model order is {n}")
     A, C = model.A, model.C
 
     key = tuple((a.shape, a.tobytes())
@@ -254,8 +253,10 @@ def estimate_noise_empirical(
     if n_samples < 2:
         raise DataError("need at least 2 samples to estimate covariances")
 
-    noise = NoiseModel.initial(model.order, model.m_out,
-                               eps_q=eps_q, eps_r=eps_r)
+    if eps_q <= 0 or eps_r <= 0:
+        raise DataError("eps_q and eps_r must be positive")
+    noise = NoiseModel(Q=eps_q * np.eye(model.order),
+                       R=eps_r * np.eye(model.m_out))
     for _ in range(iterations):
         run = run_filter(model, noise, inputs, outputs)
         r_y = outputs - run.estimates

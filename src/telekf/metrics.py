@@ -181,17 +181,17 @@ def fit_report(model: StateSpaceModel, inputs: np.ndarray,
                                  burn_in=burn_in)
 
 
-def calibrate_accuracy(pairs=REFERENCE_ACCURACY_PAIRS) -> dict:
+def calibrate_accuracy() -> dict:
     """Score the accuracy formulas of ACCURACY_METRICS that RMSE alone
-    determines against published (RMSE, accuracy) pairs and return them
-    ranked by fit, so "best" is always a metric accuracy_pct accepts.
+    determines against the published REFERENCE_ACCURACY_PAIRS and return
+    them ranked by fit, so "best" is always a metric accuracy_pct accepts.
 
     Each candidate maps RMSE r to accuracy; the range-normalized one gets
     its range parameter fitted by least squares.  The published pairs are
     mutually inconsistent, so even the best candidate carries a nonzero
     residual; the result records it.
     """
-    pairs = np.asarray(pairs, dtype=float)
+    pairs = np.asarray(REFERENCE_ACCURACY_PAIRS, dtype=float)
     r, a = pairs[:, 0], pairs[:, 1]
 
     candidates = {}

@@ -9,7 +9,7 @@ generator; the scenario seed is split into two independent substreams
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class NetworkScenario:
                             f"must be finite and non-negative")
         if not 0.0 <= self.loss_prob <= 1.0:
             raise DataError(f"loss probability {self.loss_prob} outside [0, 1]")
-
-    def with_seed(self, seed: int) -> "NetworkScenario":
-        return replace(self, seed=seed)
 
     def to_dict(self) -> dict:
         doc = {

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +67,6 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"invalid config values: {', '.join(bad)}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         kinds = {f.name: f.type for f in fields(cls)}
@@ -77,7 +74,7 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def resolve_scenarios(self) -> list[netsim.NetworkScenario]:
@@ -85,7 +82,7 @@ class ExperimentConfig:
             base = netsim.scenario_suite()
         else:
             base = [netsim.NetworkScenario.from_dict(d) for d in self.scenarios]
-        return [s.with_seed(derive_seed(self.master_seed, i))
+        return [replace(s, seed=derive_seed(self.master_seed, i))
                 for i, s in enumerate(base)]
 
 
@@ -163,7 +160,7 @@ def cmd_identify(config: ExperimentConfig) -> dict:
     dataset's), the names and flags are only informational.
     """
     norm, params = _load_and_normalize(config)
-    model, decomp, order = _identify(config, norm)
+    model, decomp = _identify(config, norm)
     out = _out_dir(config)
 
     channels = [{"name": name, "role": role, "min": float(lo),
@@ -188,9 +185,9 @@ def cmd_identify(config: ExperimentConfig) -> dict:
     ss = decomp.singular_values
     log = {
         "config_hash": config.config_hash,
-        "order": order,
+        "order": model.order,
         "criterion": "energy" if config.fixed_order is None else "fixed",
-        "energy_ratio": float(np.sum(ss[:order]) / np.sum(ss)),
+        "energy_ratio": float(np.sum(ss[:model.order]) / np.sum(ss)),
         "spectral_radius": model.spectral_radius,
         "unstable": model.is_unstable,
         "warnings": list(decomp.warnings),
@@ -201,7 +198,7 @@ def cmd_identify(config: ExperimentConfig) -> dict:
     }
     log_path = out / "identify_log.json"
     _write_json(log_path, config, log)
-    return {"model": model, "decomposition": decomp, "order": order,
+    return {"model": model, "decomposition": decomp, "order": model.order,
             "paths": {"model": model_path, "scree": scree_path, "log": log_path}}
 
 
@@ -245,7 +242,7 @@ def model_and_data(config: ExperimentConfig, path: str) -> tuple[
         model, params = load_model(config.model_path)
     else:
         norm, params = _load_and_normalize(config)
-        model, _, _ = _identify(config, norm)
+        model, _ = _identify(config, norm)
         if path == config.dataset:
             return model, norm
     raw = dataio.load_dataset(path, dt=config.dt)

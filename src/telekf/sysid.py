@@ -103,10 +103,10 @@ class StateSpaceModel:
 class SubspaceDecomposition:
     """LQ/SVD factorization of the stacked [U; Y] Hankel system.
 
-    R11, R21, R22 partition the lower-triangular L-factor; U1 holds the
-    left singular vectors of R22 and singular_values its spectrum in
-    descending order.  lq_method names the path that computed L
-    ("cholesky_qr2" or "householder"), lq_cond_est is the 1-norm
+    R11 and R21 partition the lower-triangular L-factor; U1 holds the left
+    singular vectors of its output-residual block R22 and singular_values
+    R22's spectrum in descending order.  lq_method names the path that
+    computed L ("cholesky_qr2" or "householder"), lq_cond_est is the 1-norm
     condition estimate that chose it (None when a Cholesky step failed)
     and cond_r11 the 2-norm condition number of R11.
     """
@@ -114,7 +114,6 @@ class SubspaceDecomposition:
     singular_values: np.ndarray
     R11: np.ndarray
     R21: np.ndarray
-    R22: np.ndarray
     U1: np.ndarray
     block_rows: int
     m_in: int
@@ -123,11 +122,6 @@ class SubspaceDecomposition:
     lq_cond_est: float | None
     cond_r11: float
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        ss = np.asarray(self.singular_values, dtype=float)
-        if np.any(ss < 0) or np.any(np.diff(ss) > 0):
-            raise NumericalError("singular values must be descending and >= 0")
 
 
 #: CholeskyQR2 matches Householder accuracy while the stack's condition
@@ -262,9 +256,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     du = d * m_in
     R11 = L[:du, :du]
     R21 = L[du:, :du]
-    R22 = L[du:, du:]
-
-    U1, ss, _ = np.linalg.svd(R22)
+    U1, ss, _ = np.linalg.svd(L[du:, du:])  # R22
 
     warns = []
     cond_r11 = np.inf  # no input block: realize has no R11 to invert
@@ -276,7 +268,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
             warns.append("input Hankel block is rank deficient "
                          "(inputs not persistently exciting)")
     return SubspaceDecomposition(
-        singular_values=ss, R11=R11, R21=R21, R22=R22, U1=U1,
+        singular_values=ss, R11=R11, R21=R21, U1=U1,
         block_rows=d, m_in=m_in, m_out=m_out, lq_method=lq_method,
         lq_cond_est=lq_cond_est, cond_r11=cond_r11,
         warnings=tuple(warns))
@@ -370,12 +362,11 @@ def realize(decomp: SubspaceDecomposition, order: int) -> StateSpaceModel:
 
 def identify(inputs: np.ndarray, outputs: np.ndarray, block_rows: int = 20,
              energy: float = 0.85, fixed: int | None = None
-             ) -> tuple[StateSpaceModel, SubspaceDecomposition, int]:
+             ) -> tuple[StateSpaceModel, SubspaceDecomposition]:
     """Convenience wrapper: decompose, select order, realize."""
     decomp = moesp_decompose(inputs, outputs, block_rows)
     order = select_order(decomp.singular_values, energy=energy, fixed=fixed)
-    model = realize(decomp, order)
-    return model, decomp, order
+    return realize(decomp, order), decomp
 
 
 #: Samples per block in _affine_pass.  Its Python steps fall as 1/L while

@@ -542,7 +542,7 @@ def _one_channel_entry_points():
     input series u and one output series y."""
     rng = np.random.default_rng(2)
     model = random_stable_system(rng, 2, 1, 1)
-    noise = estimator.NoiseModel.initial(2, 1)
+    noise = estimator.NoiseModel(Q=1e-4 * np.eye(2), R=1e-4 * np.eye(1))
     scaling = dataio.ChannelScaling([-1.0], [3.0])
     scenario = netsim.NetworkScenario(40.0, 20.0, 0.05, seed=3)
 

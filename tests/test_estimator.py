@@ -324,6 +324,18 @@ class TestGainSchedule:
                 estimator.run_filter(model, noise, np.zeros((10, 1)),
                                      np.zeros((10, 1)), P0=np.zeros((2, 2)))
 
+    def test_overflowing_prediction_names_the_sample(self):
+        # A P0 A' overflows at the first prediction: the predicted
+        # covariance check, not the innovation variance, reports it
+        model = scalar_model(a=1e200)
+        noise = estimator.NoiseModel(Q=[[1.0]], R=[[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^sample 2: predicted "
+                               "covariance is not finite$"):
+                estimator.run_filter(model, noise, np.zeros((10, 1)),
+                                     np.zeros((10, 1)))
+
 
 class TestNoiseModel:
     def test_psd_enforced(self):
@@ -339,6 +351,21 @@ class TestNoiseModel:
             estimator.NoiseModel(Q=[[bad]], R=[[1.0]])
         with pytest.raises(NumericalError, match="non-finite entries in R"):
             estimator.NoiseModel(Q=np.eye(2), R=[[1.0, 0.0], [0.0, bad]])
+
+    @pytest.mark.parametrize("P0, error, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], DataError, "P0 is not symmetric"),
+        (np.eye(3), DataError, r"P0 is \(3, 3\), model order is 2"),
+        ([[1.0, 0.0], [0.0, np.nan]], NumericalError,
+         "non-finite entries in P0"),
+        (-np.eye(2), DataError, "P0 is not positive semidefinite"),
+    ], ids=["asymmetric", "wrong_order", "nan", "negative_definite"])
+    def test_given_p0_passes_the_same_gate(self, P0, error, message):
+        model = sysid.StateSpaceModel(A=0.5 * np.eye(2), B=[[1.0], [0.0]],
+                                      C=[[1.0, 1.0]], D=[[0.0]])
+        noise = estimator.NoiseModel(Q=np.eye(2), R=np.eye(1))
+        with pytest.raises(error, match=f"^{message}$"):
+            estimator.run_filter(model, noise, np.zeros((10, 1)),
+                                 np.zeros((10, 1)), P0=P0)
 
     def test_huge_finite_covariance_is_kept(self):
         # symmetrizing 1e308 must not overflow it to a non-finite entry
@@ -374,11 +401,26 @@ class TestNoiseModel:
                 pytest.raises(NumericalError, match="non-finite entries"):
             estimator.estimate_noise_empirical(model, u, y)
 
-    def test_initial_guess(self):
-        nm = estimator.NoiseModel.initial(3, 2, eps_q=1e-4, eps_r=1e-3)
-        np.testing.assert_array_equal(nm.Q, 1e-4 * np.eye(3))
-        np.testing.assert_array_equal(nm.R, 1e-3 * np.eye(2))
-        assert nm.provenance == "initial"
+    def test_initial_guess(self, rng, monkeypatch):
+        # the bootstrap's first filter pass gets Q = eps_q I, R = eps_r I
+        model = random_stable_system(rng, 3, 1, 2)
+        u = rng.standard_normal((200, 1))
+        y = sysid.simulate(model, u) + 0.1 * rng.standard_normal((200, 2))
+        seen = []
+        filter_pass = estimator.run_filter
+
+        def recording(model, noise, *args):
+            seen.append(noise)
+            return filter_pass(model, noise, *args)
+
+        monkeypatch.setattr(estimator, "run_filter", recording)
+        estimator.estimate_noise_empirical(model, u, y, eps_q=1e-4,
+                                           eps_r=1e-3, iterations=2)
+        assert [nm.provenance for nm in seen] == ["initial", "empirical"]
+        np.testing.assert_array_equal(seen[0].Q, 1e-4 * np.eye(3))
+        np.testing.assert_array_equal(seen[0].R, 1e-3 * np.eye(2))
+        with pytest.raises(DataError, match="must be positive"):
+            estimator.estimate_noise_empirical(model, u, y, eps_q=0.0)
 
     def test_json_roundtrip(self, tmp_path):
         nm = estimator.NoiseModel(Q=0.2 * np.eye(2), R=0.3 * np.eye(1),

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -178,7 +179,7 @@ class TestScenario:
 
     def test_suite_dict_roundtrip(self):
         for i, sc in enumerate(netsim.scenario_suite()):
-            sc = sc.with_seed(2**64 - 1 - i)
+            sc = dataclasses.replace(sc, seed=2**64 - 1 - i)
             assert netsim.NetworkScenario.from_dict(sc.to_dict()) == sc
 
 
