@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import as_series
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .sysid import StateSpaceModel, simulate
 
 DEFAULT_METRIC = "nrmse_range"
 ACCURACY_METRICS = ("nrmse_range", "one_minus_rmse", "nmae")
+_RANGE_NORMALIZED = ("nrmse_range", "nmae")
 #: Reports take innovation whiteness over lags 1..WHITENESS_MAX_LAG.
 WHITENESS_MAX_LAG = 10
 
@@ -32,7 +33,8 @@ REFERENCE_ACCURACY_PAIRS = (
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Per-channel quality summary for one filter run or simulation."""
+    """Per-channel quality summary for one filter run or simulation; a
+    non-finite RMSE or accuracy is a NumericalError naming the channel."""
 
     rmse: np.ndarray
     accuracy_pct: np.ndarray
@@ -45,10 +47,12 @@ class EstimationReport:
         for name in ("rmse", "accuracy_pct", "whiteness"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.rmse < 0):
-            raise DataError("rmse must be non-negative")
-        if np.any((self.accuracy_pct < 0) | (self.accuracy_pct > 100)):
-            raise DataError("accuracy_pct must lie in [0, 100]")
+        finite = np.isfinite(self.rmse) & np.isfinite(self.accuracy_pct)
+        if not finite.all():
+            j = np.argmin(finite)
+            raise NumericalError(f"output channel {j}: score is not finite "
+                                 f"(RMSE {self.rmse[j]}, accuracy "
+                                 f"{self.accuracy_pct[j]}%)")
         if not self.metric_def:
             raise DataError("metric_def must be recorded")
 
@@ -75,9 +79,11 @@ def _check_pair(estimates, truth):
 
 
 def rmse(estimates: np.ndarray, truth: np.ndarray) -> float:
-    """Root mean squared error over all entries."""
+    """Root mean squared error over all entries; inf when the squares
+    overflow."""
     estimates, truth = _check_pair(estimates, truth)
-    return float(np.sqrt(np.mean((estimates - truth) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((estimates - truth) ** 2)))
 
 
 def accuracy_pct(estimates: np.ndarray, truth: np.ndarray,
@@ -91,7 +97,7 @@ def accuracy_pct(estimates: np.ndarray, truth: np.ndarray,
     estimates, truth = _check_pair(estimates, truth)
     if metric_def == "one_minus_rmse":
         acc = 100.0 * (1.0 - rmse(estimates, truth))
-    elif metric_def in ("nrmse_range", "nmae"):
+    elif metric_def in _RANGE_NORMALIZED:
         span = float(truth.max() - truth.min())
         if span <= 0:
             raise DataError("truth range is zero; range-normalized accuracy undefined")
@@ -135,6 +141,22 @@ def autocorrelations(series: np.ndarray, max_lag: int) -> np.ndarray:
     return sums[1:] / sums[0]
 
 
+def check_truth(truth: np.ndarray, metric_def: str,
+                burn_in: int) -> np.ndarray:
+    """truth[burn_in:], the part of a truth series a report scores, checked
+    before any estimate is made: burn_in must leave a sample, and a
+    range-normalized metric_def needs every channel to vary there."""
+    truth = as_series(truth)
+    if burn_in >= truth.shape[0]:
+        raise DataError(f"burn_in {burn_in} >= series length {truth.shape[0]}")
+    t = truth[burn_in:]
+    flat = t.max(axis=0) - t.min(axis=0) <= 0
+    if metric_def in _RANGE_NORMALIZED and flat.any():
+        raise DataError(f"output channel {np.argmax(flat)}: truth range is "
+                        "zero; range-normalized accuracy undefined")
+    return t
+
+
 def report_run(estimates: np.ndarray, truth: np.ndarray,
                innovations: np.ndarray | None = None,
                metric_def: str = DEFAULT_METRIC,
@@ -143,18 +165,12 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
     ``burn_in`` samples from the error metrics and the whiteness (NaN
     when no innovations are given or too few remain)."""
     estimates, truth = _check_pair(estimates, truth)
-    estimates, truth = as_series(estimates), as_series(truth)
-    if burn_in >= estimates.shape[0]:
-        raise DataError(f"burn_in {burn_in} >= series length {estimates.shape[0]}")
-    e, t = estimates[burn_in:], truth[burn_in:]
+    t = check_truth(truth, metric_def, burn_in)
+    e = as_series(estimates)[burn_in:]
     channels = e.shape[1]
     rmses = np.array([rmse(e[:, j], t[:, j]) for j in range(channels)])
-    accs = np.empty(channels)
-    for j in range(channels):
-        try:
-            accs[j] = accuracy_pct(e[:, j], t[:, j], metric_def)
-        except DataError as exc:  # a constant truth channel
-            raise DataError(f"output channel {j}: {exc}") from None
+    accs = np.array([accuracy_pct(e[:, j], t[:, j], metric_def)
+                     for j in range(channels)])
     white = np.full(channels, np.nan)
     if innovations is not None:
         innovations = as_series(innovations)
@@ -168,14 +184,15 @@ def report_run(estimates: np.ndarray, truth: np.ndarray,
 def fit_report(model: StateSpaceModel, inputs: np.ndarray,
                outputs: np.ndarray, metric_def: str = DEFAULT_METRIC,
                burn_in: int = 0) -> tuple[np.ndarray, EstimationReport]:
-    """Open-loop validation: simulate the model on the given inputs and
-    score the prediction against the given outputs per channel; returns
-    the prediction and its report."""
+    """Open-loop validation: check the outputs (check_truth), simulate the
+    model on the given inputs and score the prediction against the
+    outputs per channel; returns the prediction and its report."""
     outputs = as_series(outputs)
     if outputs.shape[1] != model.m_out:
         raise DataError(
             f"validation outputs have {outputs.shape[1]} channels, "
             f"model expects {model.m_out}")
+    check_truth(outputs, metric_def, burn_in)
     predicted = simulate(model, inputs)
     return predicted, report_run(predicted, outputs, metric_def=metric_def,
                                  burn_in=burn_in)

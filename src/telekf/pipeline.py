@@ -254,11 +254,13 @@ def model_and_data(config: ExperimentConfig, path: str) -> tuple[
 
 def score_stream(config: ExperimentConfig, model: sysid.StateSpaceModel,
                  inputs: np.ndarray, observed: np.ndarray, truth: np.ndarray):
-    """Bootstrap Q/R on an observed stream with the config's eps_q, eps_r
-    and bootstrap_iterations, filter it and score the estimates against
-    the truth by the config's metric_def and burn-in; returns noise, run
-    and report.  They depend on the stream alone, so scenarios that
-    deliver the same stream can share them."""
+    """Check the truth (metrics.check_truth), bootstrap Q/R on an observed
+    stream with the config's eps_q, eps_r and bootstrap_iterations, filter
+    it and score the estimates against the truth by the config's
+    metric_def and burn-in; returns noise, run and report.  They depend
+    on the stream alone, so scenarios that deliver the same stream can
+    share them."""
+    metrics.check_truth(truth, config.metric_def, _burn_in(config, model))
     noise = estimator.estimate_noise_empirical(
         model, inputs, observed, eps_q=config.eps_q, eps_r=config.eps_r,
         iterations=config.bootstrap_iterations)

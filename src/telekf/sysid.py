@@ -466,8 +466,16 @@ def simulate(model: StateSpaceModel, inputs: np.ndarray,
              x0: np.ndarray | None = None) -> np.ndarray:
     """Run the model open loop from x0 (default zero): y_k = C x_k + D u_k,
     x_{k+1} = A x_k + B u_k, with the terms of model.input_terms and the
-    states from one blocked affine pass (_affine_pass)."""
+    states from one blocked affine pass (_affine_pass).  A prediction
+    that is not finite raises NumericalError naming its first sample."""
     Bu, Du = model.input_terms(inputs)
     n = model.order
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-    return _map_rows(model.C, _affine_pass(model.A, x, Bu)) + Du
+    # an overflow shows up as a non-finite prediction, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _map_rows(model.C, _affine_pass(model.A, x, Bu)) + Du
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"sample {np.argmin(finite) + 1}: open-loop "
+                             "prediction is not finite")
+    return y

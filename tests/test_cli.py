@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -282,12 +283,39 @@ class TestValidate:
         assert rc == 1
 
     def test_constant_output_names_channel(self, tmp_path,
-                                           constant_output_csv, capsys):
+                                           constant_output_csv, capsys,
+                                           monkeypatch):
+        # the truth is checked before the model is simulated
+        calls = []
+        monkeypatch.setattr(sysid, "simulate", calls.append)
+        monkeypatch.setattr(metrics, "simulate", calls.append)
         rc = main(["validate", "--dataset", str(constant_output_csv),
                    "--validation-dataset", str(constant_output_csv),
                    "--out", str(tmp_path / "o"), "--block-rows", "10"])
         assert rc == 2
         assert capsys.readouterr().err == f"data error: {ZERO_RANGE}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("a, message", [
+        (1e200, "sample 4: open-loop prediction is not finite"),
+        (1.6, r"output channel 0: score is not finite \(RMSE inf, "
+              r"accuracy 0.0%\)"),
+    ], ids=["prediction_overflows", "rmse_overflows"])
+    def test_diverging_model_is_numerical_error(self, tmp_path, dataset_csv,
+                                                capsys, a, message):
+        # 1.6 ** 800 is finite, but the squared error overflows
+        model = tmp_path / "model.json"
+        model.write_text(_model_text(a=a))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["validate", "--model", str(model),
+                       "--validation-dataset", str(dataset_csv),
+                       "--out", str(out)])
+        assert rc == 3
+        assert re.fullmatch(f"numerical error: {message}\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestModelAndData:
@@ -458,20 +486,24 @@ class TestSweep:
         assert not list(out.glob("*_report.json"))
 
     def test_constant_output_names_channel(self, tmp_path,
-                                           constant_output_csv):
+                                           constant_output_csv, monkeypatch):
         out = tmp_path / "out"
         assert main(["identify", "--dataset", str(constant_output_csv),
                      "--block-rows", "10", "--out", str(out)]) == 0
+        # the truth is checked before any stream is filtered
+        calls = []
+        monkeypatch.setattr(estimator, "run_filter",
+                            lambda *args: calls.append(args))
         rc = main(["sweep", "--dataset", str(constant_output_csv),
                    "--model", str(out / "model.json"), "--out", str(out)])
         assert rc == 0
+        assert calls == []
         model = json.loads((out / "model.json").read_text())
         assert [c["constant"] for c in model["norm_params"]["channels"]] \
             == [False, False, False, True]
         rows = list(csv.reader(io.StringIO(
             (out / "sweep_summary.csv").read_text())))[2:]
-        assert len(rows) == 6
-        assert rows[0][-1] == f"error: {ZERO_RANGE}"
+        assert [row[-1] for row in rows] == [f"error: {ZERO_RANGE}"] * 6
 
     def test_huge_measurement_noise_scale_completes(self, tmp_path,
                                                      dataset_csv):

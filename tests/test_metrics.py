@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from telekf import metrics, sysid
-from telekf.errors import DataError
+from telekf.errors import DataError, NumericalError
 
 from conftest import random_stable_system
 
@@ -191,6 +192,18 @@ class TestReport:
             metrics.EstimationReport(rmse=[0.1], accuracy_pct=[90.0],
                                      whiteness=[0.1], n_samples=10,
                                      metric_def="")
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "overflow"])
+    def test_non_finite_score_is_numerical_error(self, bad):
+        # NaN passed the old rmse >= 0 and 0 <= accuracy <= 100 checks
+        truth = np.linspace(0.0, 1.0, 50)[:, None]
+        estimates = truth.copy()
+        estimates[10] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^output channel 0: "
+                               "score is not finite"):
+                metrics.report_run(estimates, truth)
 
     def test_report_run_takes_innovations_as_a_list(self, rng):
         e, t = rng.uniform(0, 1, (2, 60, 2))
