@@ -31,8 +31,8 @@ def _covariance(M, name: str) -> np.ndarray:
     symmetric and PSD up to 1e-12 max(1, max|M|); negative eigenvalues
     within that tolerance are clipped to zero."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise DataError(f"{name} must be square, got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DataError(f"{name} must be a square matrix, got {M.shape}")
     if not np.isfinite(M).all():
         raise NumericalError(f"non-finite entries in {name}")
     tol = 1e-12 * max(1.0, np.abs(M).max())

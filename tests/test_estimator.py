@@ -344,6 +344,13 @@ class TestNoiseModel:
         with pytest.raises(DataError):
             estimator.NoiseModel(Q=[[1.0]], R=[[0.0, 0.5], [0.1, 0.0]])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)],
+                             ids=["wide", "three_axes"])
+    def test_square_matrix_required(self, shape):
+        # a stack of square matrices is not a covariance either
+        with pytest.raises(DataError, match=r"^Q must be a square matrix"):
+            estimator.NoiseModel(Q=np.ones(shape), R=np.eye(1))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      -float("inf")])
     def test_non_finite_is_numerical_error(self, bad):
