@@ -104,8 +104,8 @@ class SubspaceDecomposition:
     """LQ/SVD factorization of the stacked [U; Y] Hankel system.
 
     R11 and R21 partition the lower-triangular L-factor; U1 holds the left
-    singular vectors of its output-residual block R22 and singular_values
-    R22's spectrum in descending order.  lq_method names the path that
+    singular vectors of its output-residual (lower right) block and
+    singular_values that block's spectrum in descending order.  lq_method names the path that
     computed L ("cholesky_qr2" or "householder"), lq_cond_est is the 1-norm
     condition estimate that chose it (None when a Cholesky step failed)
     and cond_r11 the 2-norm condition number of R11.
@@ -233,7 +233,7 @@ def _lq_factor(inputs: np.ndarray, outputs: np.ndarray, block_rows: int
 def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
                     block_rows: int = 20) -> SubspaceDecomposition:
     """Take the LQ factor of the input/output block Hankel stack (see
-    _lq_factor) and SVD the output-residual block R22.
+    _lq_factor) and SVD its output-residual (lower right) block.
 
     inputs is (N, m_in), outputs (N, m_out), both normalized.  Needs at
     least 2 * block_rows * max(m_in, m_out) + 1 samples so the LQ step is
@@ -256,7 +256,7 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     du = d * m_in
     R11 = L[:du, :du]
     R21 = L[du:, :du]
-    U1, ss, _ = np.linalg.svd(L[du:, du:])  # R22
+    U1, ss, _ = np.linalg.svd(L[du:, du:])
 
     warns = []
     cond_r11 = np.inf  # no input block: realize has no R11 to invert
