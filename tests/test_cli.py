@@ -287,8 +287,9 @@ class TestValidate:
                                            monkeypatch):
         # the truth is checked before the model is simulated
         calls = []
-        monkeypatch.setattr(sysid, "simulate", calls.append)
-        monkeypatch.setattr(metrics, "simulate", calls.append)
+        for module in (sysid, metrics):
+            monkeypatch.setattr(module, "simulate",
+                                lambda *args: calls.append(args))
         rc = main(["validate", "--dataset", str(constant_output_csv),
                    "--validation-dataset", str(constant_output_csv),
                    "--out", str(tmp_path / "o"), "--block-rows", "10"])
