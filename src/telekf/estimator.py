@@ -157,7 +157,7 @@ def _gain_schedule(A: np.ndarray, C: np.ndarray, Q: np.ndarray,
 @functools.lru_cache(maxsize=8)
 def _cached_schedule(key, n_samples):
     """_gain_schedule memoized on the exact bytes of its inputs: every
-    bootstrap pass of one sweep starts from the same noise guess and P0."""
+    final pass of one sweep filters with the same noise and P0."""
     A, C, Q, r, P0 = (np.frombuffer(b).reshape(shape) for shape, b in key)
     return _gain_schedule(A, C, Q, r, P0, n_samples)
 

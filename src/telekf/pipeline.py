@@ -253,23 +253,16 @@ def model_and_data(config: ExperimentConfig, path: str) -> tuple[
 
 
 def score_stream(config: ExperimentConfig, model: sysid.StateSpaceModel,
-                 inputs: np.ndarray, observed: np.ndarray, truth: np.ndarray):
-    """Check the truth (metrics.check_truth), bootstrap Q/R on an observed
-    stream with the config's eps_q, eps_r and bootstrap_iterations, filter
-    it and score the estimates against the truth by the config's
-    metric_def and burn-in; returns noise, run and report.  They depend
-    on the stream alone, so scenarios that deliver the same stream can
-    share them."""
-    metrics.check_truth(truth, config.metric_def, _burn_in(config, model))
-    noise = estimator.estimate_noise_empirical(
-        model, inputs, observed, eps_q=config.eps_q, eps_r=config.eps_r,
-        iterations=config.bootstrap_iterations)
+                 noise: estimator.NoiseModel, inputs: np.ndarray,
+                 observed: np.ndarray, truth: np.ndarray):
+    """Filter an observed stream with the given noise and score it by the
+    config's metric_def and burn-in; returns run and report."""
     run = estimator.run_filter(model, noise, inputs, observed)
     report = metrics.report_run(run.estimates, truth,
                                 innovations=run.innovations,
                                 metric_def=config.metric_def,
                                 burn_in=_burn_in(config, model))
-    return noise, run, report
+    return run, report
 
 
 def cmd_sweep(config: ExperimentConfig) -> dict:
@@ -279,10 +272,11 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     output file that cannot be written) ends it, and any other exception
     is a bug and propagates.
 
-    Scenarios whose channel delivers a stream bit-identical to an earlier
-    scenario's reuse that scenario's bootstrap, filter run and run CSV;
-    their reports name it in ``same_stream_as``.  Labels must be unique,
-    since each names its scenario's files."""
+    Q and R are the plant's, so they are bootstrapped once, on the clean
+    recording.  Scenarios whose channel delivers a stream bit-identical
+    to an earlier scenario's reuse that scenario's filter run and run
+    CSV; their reports name it in ``same_stream_as``.  Labels must be
+    unique, since each names its scenario's files."""
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
@@ -292,6 +286,15 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
         raise ConfigError("sweep needs a dataset (for inputs and truth)")
     model, norm = model_and_data(config, config.dataset)
     out = _out_dir(config)
+    failure = None
+    try:  # before any scenario's work
+        metrics.check_truth(norm.outputs, config.metric_def,
+                            _burn_in(config, model))
+        noise = estimator.estimate_noise_empirical(
+            model, norm.inputs, norm.outputs, eps_q=config.eps_q,
+            eps_r=config.eps_r, iterations=config.bootstrap_iterations)
+    except (DataError, NumericalError) as exc:  # every row records it
+        failure = exc
 
     out_names = norm.output_names
     columns = (["scenario", "nj_ms", "nd_ms", "np_pct"]
@@ -303,30 +306,31 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 + [f"innov_{n}" for n in out_names])
     rows = []
     reports = []
-    # observed stream bytes -> (tag, noise, report, gain_converged_step,
-    # run CSV bytes) of the first scenario that delivered it
+    # observed stream bytes -> (tag, report, gain_converged_step, run CSV
+    # bytes) of the first scenario that delivered it
     first_seen = {}
     for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
+            if failure:
+                raise failure
             stream = netsim.impair(
                 norm.outputs, scenario, norm.dt,
                 sample_delay_range=config.sample_delay_range)
             key = stream.observed.tobytes()
             if key not in first_seen:
-                noise, run, report = score_stream(
-                    config, model, norm.inputs, stream.observed, norm.outputs)
+                run, report = score_stream(config, model, noise, norm.inputs,
+                                           stream.observed, norm.outputs)
                 run_csv = dataio.table_bytes(run_cols, np.hstack(
                     [stream.observed, run.estimates, run.innovations]),
                     stamp=_stamp(config))
-                first_seen[key] = (tag, noise, report,
-                                   run.gain_converged_step, run_csv)
+                first_seen[key] = tag, report, run.gain_converged_step, run_csv
         except (DataError, NumericalError) as exc:  # record; keep sweeping
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        first, noise, report, converged, run_csv = first_seen[key]
+        first, report, converged, run_csv = first_seen[key]
         same_as = None if first == tag else first
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]

@@ -240,11 +240,12 @@ def test_criterion_08_scenario_ordering():
     dec = sysid.moesp_decompose(u, y, block_rows=12)
     model = sysid.realize(dec, 3)
     config = pipeline.ExperimentConfig()
+    noise = estimator.estimate_noise_empirical(model, u, y)
     mean_acc = []
     for sc in config.resolve_scenarios():
         stream = netsim.impair(y, sc, dt)
-        _, _, report = pipeline.score_stream(config, model, u,
-                                             stream.observed, y)
+        _, report = pipeline.score_stream(config, model, noise, u,
+                                          stream.observed, y)
         mean_acc.append(float(np.mean(report.accuracy_pct)))
     elapsed = time.perf_counter() - start
     best = int(np.argmax(mean_acc))
@@ -267,9 +268,11 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
         metric_def=metrics.calibrate_accuracy()["best"])
     model, norm = pipeline.model_and_data(config, config.dataset)
     sc = config.resolve_scenarios()[2]
+    noise = estimator.estimate_noise_empirical(model, norm.inputs,
+                                               norm.outputs)
     stream = netsim.impair(norm.outputs, sc, norm.dt)
-    _, _, report = pipeline.score_stream(config, model, norm.inputs,
-                                         stream.observed, norm.outputs)
+    _, report = pipeline.score_stream(config, model, noise, norm.inputs,
+                                      stream.observed, norm.outputs)
     ok = (np.min(report.accuracy_pct) >= 95.0
           and np.max(report.rmse) <= 0.04)
     check(9, "recorded-trial accuracy under the mildest scenario", ok,

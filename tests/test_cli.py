@@ -26,6 +26,14 @@ def _model_text(a=0.5, first_min=0.0, last_max=1.0,
                        "norm_params": {"channels": channels}})
 
 
+def _recording(calls, function):
+    """function, which first appends its name to ``calls`` on each call."""
+    def recorded(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+    return recorded
+
+
 @pytest.fixture()
 def dataset_csv(tmp_path):
     rng = np.random.default_rng(42)
@@ -468,16 +476,22 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", ["eps_q"])
     def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
-                                                     dataset_csv, name):
+                                                     dataset_csv, monkeypatch,
+                                                     name):
         # a finite but huge covariance overflows the first innovation
-        # variance: each scenario is recorded as failed, naming the
-        # sample, instead of ending the sweep
+        # variance of the sweep's one noise bootstrap: each scenario is
+        # recorded as failed, naming the sample, instead of ending the
+        # sweep, and no stream is impaired
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({name: 1e308}))
         out = tmp_path / "out"
+        calls = []
+        monkeypatch.setattr(netsim, "impair",
+                            _recording(calls, netsim.impair))
         rc = main(["sweep", "--config", str(cfg), "--dataset",
                    str(dataset_csv), "--block-rows", "10", "--out", str(out)])
         assert rc == 0
+        assert calls == []
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 8  # stamp + header + six scenarios
         for line in lines[2:]:
@@ -491,10 +505,14 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["identify", "--dataset", str(constant_output_csv),
                      "--block-rows", "10", "--out", str(out)]) == 0
-        # the truth is checked before any stream is filtered
+        # the truth is checked before any stream is impaired, and before
+        # the noise bootstrap or any filter runs
         calls = []
-        monkeypatch.setattr(estimator, "run_filter",
-                            lambda *args: calls.append(args))
+        for module, name in ((estimator, "run_filter"),
+                             (estimator, "estimate_noise_empirical"),
+                             (netsim, "impair")):
+            monkeypatch.setattr(module, name,
+                                _recording(calls, getattr(module, name)))
         rc = main(["sweep", "--dataset", str(constant_output_csv),
                    "--model", str(out / "model.json"), "--out", str(out)])
         assert rc == 0
@@ -566,7 +584,6 @@ class TestSweep:
                    "--model", str(out / "model.json"), "--seed", "4",
                    "--scenarios", str(sc_path)])
         assert rc == 0
-        assert len(calls) == 2
 
         runs = [(out / f"{t}_run.csv").read_bytes()
                 for t in ("still", "short", "again")]
@@ -586,12 +603,17 @@ class TestSweep:
             dataset=str(dataset_csv), model_path=str(out / "model.json"),
             scenarios=scenarios, master_seed=4)
         model, norm = pipeline.model_and_data(config, config.dataset)
+        # one bootstrap, on the clean recording, serves every stream
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], norm.outputs)
+        noise = estimate(model, norm.inputs, norm.outputs)
         rows = (out / "sweep_summary.csv").read_text().splitlines()[2:]
         assert len(rows) == len(scenarios)
         for row, scenario in zip(rows, config.resolve_scenarios()):
             stream = netsim.impair(norm.outputs, scenario, norm.dt)
-            _, _, report = pipeline.score_stream(
-                config, model, norm.inputs, stream.observed, norm.outputs)
+            _, report = pipeline.score_stream(
+                config, model, noise, norm.inputs, stream.observed,
+                norm.outputs)
             assert row.split(",")[4:-1] == (
                 [f"{a:.4f}" for a in report.accuracy_pct]
                 + [f"{r:.6f}" for r in report.rmse])
@@ -610,32 +632,76 @@ class TestSweep:
         config = pipeline.ExperimentConfig.from_dict(doc)
         model, norm = pipeline.model_and_data(config, config.dataset)
         defaults = pipeline.ExperimentConfig()
+        names = ("eps_q", "eps_r", "bootstrap_iterations", "burn_in",
+                 "metric_def")
+        others = {name: pipeline.ExperimentConfig(
+            **{**doc, name: getattr(defaults, name)}) for name in names}
+
+        def noise_of(cfg):
+            # the sweep's one estimate, on the clean recording
+            return estimator.estimate_noise_empirical(
+                model, norm.inputs, norm.outputs, eps_q=cfg.eps_q,
+                eps_r=cfg.eps_r, iterations=cfg.bootstrap_iterations)
+
+        noise = noise_of(config)
+        other_noise = {name: noise_of(other) for name, other in others.items()}
+        assert {name for name, found in other_noise.items()
+                if found.to_dict() != noise.to_dict()} == {
+            "eps_q", "eps_r", "bootstrap_iterations"}
         rows = lines[2:]
         assert len(rows) == 6
         changed = set()
         for row, scenario in zip(rows, config.resolve_scenarios()):
             stream = netsim.impair(norm.outputs, scenario, norm.dt)
-            noise, _, report = pipeline.score_stream(
-                config, model, norm.inputs, stream.observed, norm.outputs)
+            _, report = pipeline.score_stream(
+                config, model, noise, norm.inputs, stream.observed,
+                norm.outputs)
             assert row.split(",")[4:] == (
                 [f"{a:.4f}" for a in report.accuracy_pct]
                 + [f"{r:.6f}" for r in report.rmse] + ["ok"])
-            # each setting moves the scores, so a scorer that dropped one
-            # would not match the sweep above by accident
-            got = np.concatenate([noise.Q.ravel(), noise.R.ravel(),
-                                  report.accuracy_pct, report.rmse])
-            for name in ("eps_q", "eps_r", "bootstrap_iterations",
-                         "burn_in", "metric_def"):
-                other = pipeline.ExperimentConfig(
-                    **{**doc, name: getattr(defaults, name)})
-                noise2, _, report2 = pipeline.score_stream(
-                    other, model, norm.inputs, stream.observed, norm.outputs)
+            # each setting moves the scores, so a sweep that dropped one
+            # would not match the rows above by accident: eps_q, eps_r and
+            # bootstrap_iterations through the noise estimate, burn_in and
+            # metric_def through score_stream
+            got = np.concatenate([report.accuracy_pct, report.rmse])
+            for name, other in others.items():
+                _, report2 = pipeline.score_stream(
+                    other, model, other_noise[name], norm.inputs,
+                    stream.observed, norm.outputs)
                 if not np.array_equal(got, np.concatenate([
-                        noise2.Q.ravel(), noise2.R.ravel(),
                         report2.accuracy_pct, report2.rmse])):
                     changed.add(name)
-        assert changed == {"eps_q", "eps_r", "bootstrap_iterations",
-                           "burn_in", "metric_def"}
+        assert changed == set(names)
+
+    def test_every_report_carries_the_clean_noise(self, tmp_path,
+                                                  dataset_csv):
+        # Q and R are the plant's: lossy and late streams are filtered
+        # with the noise bootstrapped on the clean recording
+        scenarios = [
+            {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0, "label": "clean"},
+            {"nd_ms": 1.0, "nj_ms": 0.1, "np_pct": 20.0, "label": "lossy"},
+            {"nd_ms": 150.0, "nj_ms": 40.0, "np_pct": 10.0,
+             "label": "rough"},
+        ]
+        doc = {"dataset": str(dataset_csv), "block_rows": 10,
+               "master_seed": 6, "eps_q": 1e-3, "eps_r": 1e-2,
+               "bootstrap_iterations": 2, "scenarios": scenarios,
+               "out_dir": str(tmp_path / "out")}
+        config = pipeline.ExperimentConfig.from_dict(doc)
+        pipeline.cmd_sweep(config)
+        model, norm = pipeline.model_and_data(config, config.dataset)
+        expected = estimator.estimate_noise_empirical(
+            model, norm.inputs, norm.outputs, eps_q=1e-3, eps_r=1e-2,
+            iterations=2).to_dict()
+        reports = {sc["label"]: json.loads(
+            (tmp_path / "out" / f"{sc['label']}_report.json").read_text())
+            for sc in scenarios}
+        assert reports["lossy"]["lost"] > 0
+        assert reports["rough"]["rows_changed"] > 0
+        assert [doc["same_stream_as"] for doc in reports.values()] == [
+            None, None, None]
+        for doc in reports.values():
+            assert doc["noise"] == expected
 
     def test_mean_delay_from_source_index(self, tmp_path, dataset_csv):
         # 100 ms is 3 samples at 30 Hz; the clamp max(1, k - 3) makes rows
