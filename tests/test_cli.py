@@ -698,10 +698,10 @@ class TestSweep:
             for sc in scenarios}
         assert reports["lossy"]["lost"] > 0
         assert reports["rough"]["rows_changed"] > 0
-        assert [doc["same_stream_as"] for doc in reports.values()] == [
+        assert [r["same_stream_as"] for r in reports.values()] == [
             None, None, None]
-        for doc in reports.values():
-            assert doc["noise"] == expected
+        for report in reports.values():
+            assert report["noise"] == expected
 
     def test_mean_delay_from_source_index(self, tmp_path, dataset_csv):
         # 100 ms is 3 samples at 30 Hz; the clamp max(1, k - 3) makes rows
