@@ -10,7 +10,8 @@ Parsing and formatting CSV numbers is bound by the interpreter (``strtod``
 and ``repr`` under the GIL), so a long table is cut into one part per
 usable CPU and each part past the first runs in a forked child
 (``_in_parts``).  A CSV file is read once, and a part of it parses a
-slice of those bytes; a part of a table formats its own array rows.
+slice of those bytes; a part of a table formats its own array rows, and
+a part of a sweep's run tables formats and writes its own files.
 The parts give the same array or bytes as one serial pass; any failure
 redoes the whole job serially, so error messages are the serial ones too.
 """
@@ -278,10 +279,19 @@ def _find_bad_cell(raw: bytes, header: list[str]) -> str | None:
 
 
 #: Bytes of CSV text below which a part does not repay its fork.  A fork
-#: from a ~90 MB process costs about 4.6 ms, and parsing or formatting a
-#: MiB of numbers takes 30-40 ms, so a part repays its fork several times;
-#: a 1,240-row table of the criterion-11 shape (~0.2 MB) stays in one part.
-_PART_BYTES = 1 << 20
+#: costs the child's start and, in the parent, a copy-on-write fault on each
+#: page it writes while the child lives and a write fault on each page it
+#: writes later.  On a 2-core VM, in a ~48 MB process, each call followed by
+#: a gc.collect() (which writes every tracked object's header, as the
+#: parent's next work does), a 1,240-row table of 10 numbers (0.21 MB) took
+#: 24.9-25.9 ms in two parts against 24.0-24.3 ms serially, and 2,480 rows
+#: (0.43 MB) 37.1-38.3 against 42.7-42.8 ms (medians of 41).  64 KiB, which
+#: also splits the 0.16 MB criterion-11 dataset at each load, made that
+#: workload slower than this value (wall_ref_s 33.1-44.1 -> 37.7-49.0 ms, 4
+#: alternating pairs).  So a single table or dataset under 0.375 MiB stays
+#: serial, while a sweep's two distinct 0.23 MB run tables make two parts
+#: (pipeline.cmd_sweep).
+_PART_BYTES = 3 << 16
 
 
 def _usable_cpus() -> int:
@@ -298,16 +308,21 @@ def _cuts(n: int, nbytes: int) -> list[int]:
     return [n * i // k for i in range(k + 1)]
 
 
+#: Whether this process is running parts; a forked child inherits it.
+_in_part = False
+
+
 def _child(part, lo: int, hi: int, out: int, pipes: list[int]) -> None:
     """Run ``part(lo, hi)`` in a forked child, write its bytes to the
     ``out`` pipe and leave by os._exit, with status 0 only on success.
 
     The child is fork-safe although the parent may have threads (BLAS
-    workers): it only parses or formats text, which takes no lock another
-    thread could hold at the fork (numpy's text I/O calls no BLAS, and the
-    C library resets malloc's locks in the child).  It touches none of the
-    parent's file objects, and os._exit skips the exit handlers, buffer
-    flushes and finalizers that would repeat the parent's.
+    workers): it only parses or formats text and writes files, which
+    takes no lock another thread could hold at the fork (numpy's text I/O
+    calls no BLAS, and the C library resets malloc's locks in the child).
+    It touches none of the parent's file objects, and os._exit skips the
+    exit handlers, buffer flushes and finalizers that would repeat the
+    parent's.
     """
     status = 1
     try:
@@ -327,12 +342,22 @@ def _in_parts(bounds: list[int], part) -> list[bytes] | None:
     """Run ``part(lo, hi) -> bytes`` over each range between successive
     ``bounds``: the first in this process, each other in a forked child
     that pipes its bytes back.  Returns the bytes in order, or None, for
-    the caller to redo the whole job serially, when there is one part or
-    no os.fork, or a pipe, a fork or any part fails (a part fails by
-    raising OSError or ValueError).  Every child is reaped."""
-    if len(bounds) < 3 or not hasattr(os, "fork"):
+    the caller to redo the whole job serially, when there is one part,
+    no os.fork or a part already running in this process (parts do not
+    nest), or when a pipe, a fork or any part fails.
+
+    The part contract: a part fails by raising OSError or ValueError, in
+    this process or a child; any exception fails a child's part.  Any
+    other exception from this process's part propagates once every child
+    is reaped, so it must be the one the serial job would raise first.
+    A part may write files, as long as running it again over the whole
+    range (the serial redo) writes the same ones.  Every child is reaped,
+    whether the parts succeed, fail or raise."""
+    global _in_part
+    if len(bounds) < 3 or _in_part or not hasattr(os, "fork"):
         return None
     pipes, pids, out = [], [], None
+    _in_part = True
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on forking a process that has threads;
@@ -355,12 +380,20 @@ def _in_parts(bounds: list[int], part) -> list[bytes] | None:
     except (OSError, ValueError):
         out = None
     finally:
+        _in_part = False
         for fd in pipes:
             os.close(fd)
         for pid in pids:
             if os.waitpid(pid, 0)[1]:
                 out = None
     return out
+
+
+def run_parts(n: int, nbytes: int, part) -> list[bytes]:
+    """``part(lo, hi) -> bytes`` over range(n), items about ``nbytes`` of
+    CSV text, in parts cut by _cuts (_in_parts), or serially as
+    ``[part(0, n)]`` when _in_parts returns None."""
+    return _in_parts(_cuts(n, nbytes), part) or [part(0, n)]
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -475,6 +508,22 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     )
 
 
+def _lines(table: np.ndarray, first_index: int | None, lo: int,
+           hi: int) -> bytes:
+    """Rows lo..hi of ``table`` as table_bytes' CSV lines."""
+    rows = table[lo:hi].tolist()
+    if first_index is None:
+        return "".join(f"{','.join(map(repr, r))}\r\n" for r in rows).encode()
+    return "".join(f"{k},{','.join(map(repr, r))}\r\n" for k, r
+                   in enumerate(rows, first_index + lo)).encode()
+
+
+def text_size(table: np.ndarray, first_index: int | None = 0) -> int:
+    """About the bytes of table_bytes' lines for ``table``: its row count
+    times the length of its first row's line."""
+    return len(table) * len(_lines(table, first_index, 0, 1))
+
+
 def table_bytes(columns: list[str], table: np.ndarray,
                 stamp: str | None = None, first_index: int | None = 0) -> bytes:
     """The optional ``stamp`` line, the ``columns`` header and one CSV line
@@ -484,15 +533,9 @@ def table_bytes(columns: list[str], table: np.ndarray,
     the bytes ``csv.writer`` gives for ``repr(float(v))`` cells.  A long
     table is formatted in parts (_in_parts), each converting its own rows."""
     def lines(lo: int, hi: int) -> bytes:
-        rows = table[lo:hi].tolist()
-        if first_index is None:
-            return "".join(f"{','.join(map(repr, r))}\r\n"
-                           for r in rows).encode()
-        return "".join(f"{k},{','.join(map(repr, r))}\r\n" for k, r
-                       in enumerate(rows, first_index + lo)).encode()
+        return _lines(table, first_index, lo, hi)
 
-    n = len(table)
-    body = _in_parts(_cuts(n, n * len(lines(0, 1))), lines) or [lines(0, n)]
+    body = run_parts(len(table), text_size(table, first_index), lines)
     head = io.StringIO()
     if stamp is not None:
         head.write(stamp + "\n")

@@ -276,7 +276,10 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     recording.  Scenarios whose channel delivers a stream bit-identical
     to an earlier scenario's reuse that scenario's filter run and run
     CSV; their reports name it in ``same_stream_as``.  Labels must be
-    unique, since each names its scenario's files."""
+    unique, since each names its scenario's files.  The reports are
+    written as the scenarios run, then the run CSVs, each distinct
+    stream's encoded once, in parts (dataio.run_parts), then the
+    summary."""
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
@@ -306,9 +309,10 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 + [f"innov_{n}" for n in out_names])
     rows = []
     reports = []
-    # observed stream bytes -> (tag, report, gain_converged_step, run CSV
-    # bytes) of the first scenario that delivered it
+    # observed stream bytes -> (tag, report, gain_converged_step, tags of
+    # its run CSVs) of the first scenario that delivered it
     first_seen = {}
+    runs = []  # each distinct stream's run table and the tags of its CSVs
     for tag, scenario in zip(tags, scenarios):
         head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
@@ -321,23 +325,24 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
             if key not in first_seen:
                 run, report = score_stream(config, model, noise, norm.inputs,
                                            stream.observed, norm.outputs)
-                run_csv = dataio.table_bytes(run_cols, np.hstack(
-                    [stream.observed, run.estimates, run.innovations]),
-                    stamp=_stamp(config))
-                first_seen[key] = tag, report, run.gain_converged_step, run_csv
+                run_tags = []
+                first_seen[key] = (tag, report, run.gain_converged_step,
+                                   run_tags)
+                runs.append((np.hstack([stream.observed, run.estimates,
+                                        run.innovations]), run_tags))
         except (DataError, NumericalError) as exc:  # record; keep sweeping
             rows.append(head + [""] * (2 * len(out_names))
                         + [f"error: {exc}"])
             reports.append(None)
             continue
-        first, report, converged, run_csv = first_seen[key]
+        first, report, converged, run_tags = first_seen[key]
         same_as = None if first == tag else first
         rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
                     + [f"{r:.6f}" for r in report.rmse]
                     + ["ok"])
         reports.append(report)
 
-        _write(out / f"{tag}_run.csv", run_csv)
+        run_tags.append(tag)
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
@@ -351,8 +356,21 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                     mean_delay_samples=(float(delays.mean()) if delays.size
                                         else None))
 
+    stamp = _stamp(config)
+
+    def write_runs(lo: int, hi: int) -> bytes:
+        # each distinct stream is encoded once, for all its scenarios
+        for table, names in runs[lo:hi]:
+            run_csv = dataio.table_bytes(run_cols, table, stamp=stamp)
+            for name in names:
+                _write(out / f"{name}_run.csv", run_csv)
+        return b""
+
+    dataio.run_parts(len(runs), sum(dataio.text_size(table)
+                                    for table, _ in runs), write_runs)
+
     summary = io.StringIO()
-    summary.write(_stamp(config) + "\n")
+    summary.write(stamp + "\n")
     csv.writer(summary).writerows([columns] + rows)
     summary_path = out / "sweep_summary.csv"
     _write(summary_path, summary.getvalue().encode())

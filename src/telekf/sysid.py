@@ -174,8 +174,9 @@ def _stack_gram(inputs: np.ndarray, outputs: np.ndarray,
 
 
 #: Hankel columns per chunk of _lq_factor's second pass.  A chunk holds
-#: its slices of U, Y and Q plus the W22 Y product, about 2.5 times the
-#: d (m_in + m_out) x _CHUNK doubles of one [U; Y] slice.  Of 256 .. 8192,
+#: its slices of Q and Y plus the W22 Y product (U goes before Y is
+#: built), about 2 times the d (m_in + m_out) x _CHUNK doubles of one
+#: [U; Y] slice when m_in = m_out.  Of 256 .. 8192,
 #: 2048 and 4096 timed fastest on 36,000 x (6+6) samples at d = 20, and
 #: 512 about 10% slower; 2048 holds half the memory of 4096.  1,240 x
 #: (3+3) samples fit in one chunk; chunks of 512 saved 0.6 ms of 6 there.
@@ -202,24 +203,28 @@ def _lq_factor(inputs: np.ndarray, outputs: np.ndarray, block_rows: int
     """
     d = block_rows
     cols = inputs.shape[0] - d + 1
-    G = _stack_gram(inputs, outputs, d)
     du = d * inputs.shape[1]
     try:
-        L1 = np.linalg.cholesky(G)
+        L1 = np.linalg.cholesky(_stack_gram(inputs, outputs, d))
         W = np.linalg.inv(L1)
         cond_est = float(np.linalg.norm(L1, 1) * np.linalg.norm(W, 1))
         if cond_est <= _CHOLQR_MAX_COND:
-            QQ = np.zeros_like(G)
+            QQ = np.zeros_like(L1)
             for start in range(0, cols, _CHUNK):
                 stop = min(start + _CHUNK, cols)
-                U = build_hankel(inputs[start:stop + d - 1], d, stop - start)
-                Y = build_hankel(outputs[start:stop + d - 1], d, stop - start)
                 # W is lower triangular: W [U; Y] = [W11 U; W21 U + W22 Y].
-                Q = np.empty((G.shape[0], stop - start))
+                # Each slice goes once used, so at most Q, Y and W22 Y are
+                # held at once.
+                U = build_hankel(inputs[start:stop + d - 1], d, stop - start)
+                Q = np.empty((L1.shape[0], stop - start))
                 np.matmul(W[:du, :du], U, out=Q[:du])
                 np.matmul(W[du:, :du], U, out=Q[du:])
+                del U
+                Y = build_hankel(outputs[start:stop + d - 1], d, stop - start)
                 Q[du:] += W[du:, du:] @ Y
+                del Y
                 QQ += Q @ Q.T
+                del Q
             return L1 @ np.linalg.cholesky(QQ), "cholesky_qr2", cond_est
     except np.linalg.LinAlgError:
         cond_est = None

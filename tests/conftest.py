@@ -3,7 +3,26 @@ import os
 import numpy as np
 import pytest
 
-from telekf import sysid
+from telekf import dataio, sysid
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Cut tables into parts of a few bytes, three at most, and record the
+    pid of every child forked."""
+    monkeypatch.setattr(dataio, "_PART_BYTES", 16)
+    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
 
 
 def random_stable_system(rng, order, m_in, m_out, radius=0.9):

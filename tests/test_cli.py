@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import warnings
 
@@ -543,6 +544,64 @@ class TestSweep:
             figures = np.array(doc["accuracy_pct"] + doc["rmse"], dtype=float)
             assert np.isfinite(figures).all()
 
+    def test_run_csvs_in_parts_match_serial(self, tmp_path, dataset_csv,
+                                            monkeypatch):
+        # three distinct streams, the clean one delivered twice: in parts,
+        # each forked child's part and this process's format their own
+        # streams and write every run CSV of them, and the files are the
+        # serial sweep's bytes
+        clean = {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0}
+        scenarios = [{**clean, "label": "still"},
+                     {"nd_ms": 1.0, "nj_ms": 0.1, "np_pct": 5.0,
+                      "label": "light"},
+                     {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 20.0,
+                      "label": "heavy"},
+                     {**clean, "label": "again"}]
+        sc_path = tmp_path / "scen.json"
+        sc_path.write_text(json.dumps(scenarios))
+        model = tmp_path / "model"
+        assert main(["identify", "--dataset", str(dataset_csv),
+                     "--out", str(model), "--block-rows", "10"]) == 0
+        config = pipeline.ExperimentConfig(
+            dataset=str(dataset_csv), model_path=str(model / "model.json"))
+        loaded = pipeline.model_and_data(config, config.dataset)
+        # the sweep's dataset load, read in parts of its own, is not
+        # counted below
+        monkeypatch.setattr(pipeline, "model_and_data",
+                            lambda config, path: loaded)
+        out = tmp_path / "out"  # out_dir is part of the config hash
+        args = ["sweep", "--dataset", str(dataset_csv), "--out", str(out),
+                "--model", str(model / "model.json"), "--seed", "9",
+                "--scenarios", str(sc_path)]
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 1)
+        assert main(args) == 0
+        serial = out.rename(tmp_path / "serial")
+
+        monkeypatch.setattr(dataio, "_PART_BYTES", 16)
+        monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
+        made = tmp_path / "forks.log"  # one byte per fork, in any process
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                with open(made, "ab") as f:
+                    f.write(b".")
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(args) == 0
+        # bounds [0, 1, 2, 3]: a part per usable CPU, none nested
+        assert made.read_bytes() == b".."
+        names = sorted(p.name for p in serial.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        assert len(names) == 2 * len(scenarios) + 1
+        for name in names:
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
+        assert [json.loads((out / f"{sc['label']}_report.json").read_text())
+                ["same_stream_as"] for sc in scenarios] == [
+            None, None, None, "still"]
+
     def test_custom_scenario_list(self, tmp_path, dataset_csv):
         scenarios = [{"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0,
                       "label": "clean"}]
@@ -849,33 +908,46 @@ class TestErrors:
             f"config error: cannot create output directory {out}: ")
         assert taken.read_text() == "keep"
 
-    @pytest.mark.parametrize("argv, name", [
-        (["identify"], "model.json"),
+    @pytest.mark.parametrize("argv, name, parts", [
+        (["identify"], "model.json", False),
         (["validate", "--validation-dataset", "{val}"],
-         "validation_series.csv"),
-        (["sweep", "--scenarios", "{scen}"], "still_run.csv"),
-        (["sweep", "--scenarios", "{scen}"], "again_run.csv"),
-        (["sweep", "--scenarios", "{scen}"], "sweep_summary.csv"),
-        (["impair"], "impaired.csv"),
-        (["calibrate-accuracy"], "accuracy_calibration.json"),
+         "validation_series.csv", False),
+        (["sweep", "--scenarios", "{scen}"], "still_run.csv", False),
+        (["sweep", "--scenarios", "{scen}"], "again_run.csv", False),
+        (["sweep", "--scenarios", "{scen}"], "sweep_summary.csv", False),
+        (["sweep", "--scenarios", "{scen}"], "still_run.csv", True),
+        (["sweep", "--scenarios", "{scen}"], "lossy_run.csv", True),
+        (["impair"], "impaired.csv", False),
+        (["calibrate-accuracy"], "accuracy_calibration.json", False),
     ], ids=["identify", "validate", "sweep_first_run", "sweep_copied_run",
-            "sweep_summary", "impair", "calibrate_accuracy"])
+            "sweep_summary", "sweep_parent_part_run", "sweep_child_part_run",
+            "impair", "calibrate_accuracy"])
     def test_unwritable_output_file_is_config_error(
-            self, tmp_path, dataset_csv, validation_csv, capsys, argv, name):
+            self, tmp_path, dataset_csv, validation_csv, capsys, request,
+            argv, name, parts):
         # a directory where an output file goes fails only once the run
-        # has computed that file; the run stops there, a sweep included
+        # has computed that file; the run stops there, a sweep included.
+        # In parts, the clean stream's run CSVs are the parent's part and
+        # the lossy stream's a child's: a child that fails has the whole
+        # job redone serially, and the parent's own ConfigError propagates
+        # once the child is reaped
         clean = {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 0.0}
         scen = tmp_path / "scen.json"
-        scen.write_text(json.dumps([{**clean, "label": "still"},
-                                    {**clean, "label": "again"}]))
+        scen.write_text(json.dumps([
+            {**clean, "label": "still"}, {**clean, "label": "again"},
+            {"nd_ms": 0.0, "nj_ms": 0.0, "np_pct": 20.0, "label": "lossy"}]))
         out = tmp_path / "o"
         (out / name).mkdir(parents=True)
         argv = [a.format(val=validation_csv, scen=scen) for a in argv]
+        forks = request.getfixturevalue("forks") if parts else []
         rc = main(argv + ["--dataset", str(dataset_csv), "--block-rows", "10",
                           "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write {out / name}: ")
+        assert bool(forks) == parts
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -21,25 +21,6 @@ def write_csv(path, text):
     return path
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Cut tables into parts of a few bytes, three at most, and record the
-    pid of every child forked."""
-    monkeypatch.setattr(dataio, "_PART_BYTES", 16)
-    monkeypatch.setattr(dataio, "_usable_cpus", lambda: 3)
-    made = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
 class TestLoadDataset:
     def test_minimal_two_rows(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\n3,4\n")
@@ -297,6 +278,21 @@ class TestWriteTable:
         data, reference = self.bytes_and_reference(stamp, first_index)
         assert data == reference
         assert len(forks) == 2
+
+    def test_parts_do_not_nest(self, forks):
+        # a part that formats a table, in this process or a child, formats
+        # it serially: the one fork is the outer call's
+        table = np.array(self.VALUES).reshape(4, 3)
+        serial = dataio.table_bytes(["a", "b", "c"], table)
+        forks.clear()
+
+        def part(lo, hi):
+            made = len(forks)  # a child appends to its own copy
+            data = dataio.table_bytes(["a", "b", "c"], table)
+            return bytes([len(forks) - made]) + data
+
+        assert dataio._in_parts([0, 1, 2], part) == [b"\0" + serial] * 2
+        assert len(forks) == 1
 
     def test_integer_cells_stay_integers(self):
         table = np.array([[0.5, 3, 0], [-0.0, 0, 1]], dtype=object)
