@@ -99,11 +99,11 @@ def _write(path: Path, data: bytes) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path, config: ExperimentConfig, doc: dict, **extra) -> None:
+def _write_json(path, config: ExperimentConfig, doc: dict) -> None:
     """Write ``doc`` as strict JSON stamped with the config hash, which
-    follows doc's own keys (or keeps its place when doc has one), then
-    ``extra``; a non-finite float is written as null."""
-    doc = {**doc, "config_hash": config.config_hash, **extra}
+    follows doc's own keys (or keeps its place when doc has one); a
+    non-finite float is written as null."""
+    doc = {**doc, "config_hash": config.config_hash}
     _write(path, json.dumps(_finite_or_none(doc), indent=2,
                             allow_nan=False).encode())
 
@@ -276,10 +276,10 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     recording.  Scenarios whose channel delivers a stream bit-identical
     to an earlier scenario's reuse that scenario's filter run and run
     CSV; their reports name it in ``same_stream_as``.  Labels must be
-    unique, since each names its scenario's files.  The reports are
-    written as the scenarios run, then the run CSVs, each distinct
-    stream's encoded once, in parts (dataio.run_parts), then the
-    summary."""
+    unique, since each names its scenario's files.  The loop keeps one
+    record per scenario, its report or error text, and writes each
+    report; then each distinct stream's run CSV is encoded once, in parts
+    (dataio.run_parts), and the summary rows come from the records."""
     scenarios = config.resolve_scenarios()
     tags = [s.label or f"scenario_{i + 1}" for i, s in enumerate(scenarios)]
     repeated = sorted({t for t in tags if tags.count(t) > 1})
@@ -299,22 +299,11 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
     except (DataError, NumericalError) as exc:  # every row records it
         failure = exc
 
-    out_names = norm.output_names
-    columns = (["scenario", "nj_ms", "nd_ms", "np_pct"]
-               + [f"acc_{n}" for n in out_names]
-               + [f"rmse_{n}" for n in out_names]
-               + ["status"])
-    run_cols = (["k"] + [f"z_{n}" for n in out_names]
-                + [f"yhat_{n}" for n in out_names]
-                + [f"innov_{n}" for n in out_names])
-    rows = []
-    reports = []
-    # observed stream bytes -> (tag, report, gain_converged_step, tags of
-    # its run CSVs) of the first scenario that delivered it
-    first_seen = {}
-    runs = []  # each distinct stream's run table and the tags of its CSVs
+    # observed stream bytes -> (first tag, report, gain_converged_step,
+    # run table, tags of its run CSVs) of that stream
+    streams = {}
+    records = []  # (tag, scenario, report or None, status) per scenario
     for tag, scenario in zip(tags, scenarios):
-        head = [tag, scenario.nj_ms, scenario.nd_ms, scenario.loss_prob * 100.0]
         try:
             if failure:
                 raise failure
@@ -322,59 +311,66 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                 norm.outputs, scenario, norm.dt,
                 sample_delay_range=config.sample_delay_range)
             key = stream.observed.tobytes()
-            if key not in first_seen:
+            if key not in streams:
                 run, report = score_stream(config, model, noise, norm.inputs,
                                            stream.observed, norm.outputs)
-                run_tags = []
-                first_seen[key] = (tag, report, run.gain_converged_step,
-                                   run_tags)
-                runs.append((np.hstack([stream.observed, run.estimates,
-                                        run.innovations]), run_tags))
+                streams[key] = (tag, report, run.gain_converged_step,
+                                np.hstack([stream.observed, run.estimates,
+                                           run.innovations]), [])
         except (DataError, NumericalError) as exc:  # record; keep sweeping
-            rows.append(head + [""] * (2 * len(out_names))
-                        + [f"error: {exc}"])
-            reports.append(None)
+            records.append((tag, scenario, None, f"error: {exc}"))
             continue
-        first, report, converged, run_tags = first_seen[key]
-        same_as = None if first == tag else first
-        rows.append(head + [f"{a:.4f}" for a in report.accuracy_pct]
-                    + [f"{r:.6f}" for r in report.rmse]
-                    + ["ok"])
-        reports.append(report)
-
+        first, report, converged, _, run_tags = streams[key]
         run_tags.append(tag)
+        records.append((tag, scenario, report, "ok"))
         delivered = ~stream.loss_mask
         delays = (np.flatnonzero(delivered) + 1
                   - stream.source_index[delivered])
-        _write_json(out / f"{tag}_report.json", config,
-                    {**report.to_dict(), "scenario": scenario.to_dict()},
-                    noise=noise.to_dict(), gain_converged_step=converged,
-                    rows_changed=int(np.any(stream.observed != norm.outputs,
-                                            axis=1).sum()),
-                    lost=int(stream.loss_mask.sum()),
-                    same_stream_as=same_as,
-                    mean_delay_samples=(float(delays.mean()) if delays.size
-                                        else None))
+        _write_json(out / f"{tag}_report.json", config, {
+            **report.to_dict(), "scenario": scenario.to_dict(),
+            "config_hash": config.config_hash, "noise": noise.to_dict(),
+            "gain_converged_step": converged,
+            "rows_changed": int(np.any(stream.observed != norm.outputs,
+                                       axis=1).sum()),
+            "lost": int(stream.loss_mask.sum()),
+            "same_stream_as": None if first == tag else first,
+            "mean_delay_samples": (float(delays.mean()) if delays.size
+                                   else None)})
 
     stamp = _stamp(config)
+    out_names = norm.output_names
+    runs = list(streams.values())
+    run_cols = (["k"] + [f"z_{n}" for n in out_names]
+                + [f"yhat_{n}" for n in out_names]
+                + [f"innov_{n}" for n in out_names])
 
     def write_runs(lo: int, hi: int) -> bytes:
         # each distinct stream is encoded once, for all its scenarios
-        for table, names in runs[lo:hi]:
+        for *_, table, names in runs[lo:hi]:
             run_csv = dataio.table_bytes(run_cols, table, stamp=stamp)
             for name in names:
                 _write(out / f"{name}_run.csv", run_csv)
         return b""
 
     dataio.run_parts(len(runs), sum(dataio.text_size(table)
-                                    for table, _ in runs), write_runs)
+                                    for *_, table, _ in runs), write_runs)
 
+    columns = (["scenario", "nj_ms", "nd_ms", "np_pct"]
+               + [f"acc_{n}" for n in out_names]
+               + [f"rmse_{n}" for n in out_names]
+               + ["status"])
+    rows = [[tag, s.nj_ms, s.nd_ms, s.loss_prob * 100.0]
+            + ([f"{a:.4f}" for a in report.accuracy_pct]
+               + [f"{r:.6f}" for r in report.rmse] if report
+               else [""] * (2 * len(out_names)))
+            + [status] for tag, s, report, status in records]
     summary = io.StringIO()
     summary.write(stamp + "\n")
     csv.writer(summary).writerows([columns] + rows)
     summary_path = out / "sweep_summary.csv"
     _write(summary_path, summary.getvalue().encode())
-    return {"summary": summary_path, "reports": reports, "model": model}
+    return {"summary": summary_path,
+            "reports": [record[2] for record in records]}
 
 
 def cmd_validate(config: ExperimentConfig) -> dict:
