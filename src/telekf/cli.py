@@ -16,8 +16,17 @@ from .dataio import read_json
 from .errors import ConfigError, DataError, NumericalError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, not argparse's 2 (the
+    data-error code); its subparsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="JSON experiment config file")
     common.add_argument("--dataset", help="identification dataset CSV")
     common.add_argument("--out", dest="out_dir", help="output directory")
@@ -33,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--burn-in", type=int, dest="burn_in",
                         help="samples excluded from error metrics")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="telekf",
         description="Identify teleoperator dynamics and estimate slave-side "
                     "positions through an impaired network channel.")
