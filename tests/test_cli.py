@@ -10,7 +10,7 @@ import pytest
 
 from telekf import dataio, estimator, metrics, netsim, pipeline, sysid
 from telekf.cli import main
-from telekf.errors import ConfigError
+from telekf.errors import ConfigError, NumericalError
 
 from conftest import random_stable_system
 
@@ -797,6 +797,73 @@ class TestSweep:
         assert np.all(delays["fixed"][3:] == 3)
         assert delays["rough"].size < norm.outputs.shape[0]
 
+    def test_one_failing_scenario_among_ok_ones(self, tmp_path, dataset_csv,
+                                                monkeypatch):
+        # scenario_1's stream fails to score, so scenario_2, which delivers
+        # the same stream, scores it again and names no earlier scenario
+        score = pipeline.score_stream
+        calls = []
+
+        def failing_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NumericalError("sample 5: injected")
+            return score(*args)
+
+        monkeypatch.setattr(pipeline, "score_stream", failing_first)
+        out = tmp_path / "out"
+        result = pipeline.cmd_sweep(pipeline.ExperimentConfig(
+            dataset=str(dataset_csv), block_rows=10, out_dir=str(out)))
+        assert result["reports"][0] is None
+        assert all(report is not None for report in result["reports"][1:])
+        assert len(calls) == 3  # scenario_1, scenario_2 and scenario_6
+        rows = list(csv.reader(io.StringIO(
+            (out / "sweep_summary.csv").read_text())))[2:]
+        assert rows[0][4:] == ["", "", "", "", "error: sample 5: injected"]
+        assert [row[-1] for row in rows[1:]] == ["ok"] * 5
+        assert all(cell for row in rows[1:] for cell in row)
+        assert not (out / "scenario_1_report.json").exists()
+        assert not (out / "scenario_1_run.csv").exists()
+        docs = [json.loads((out / f"scenario_{i}_report.json").read_text())
+                for i in range(2, 7)]
+        assert [doc["same_stream_as"] for doc in docs] == [
+            None, "scenario_2", "scenario_2", "scenario_2", None]
+        assert list(docs[0]) == [
+            "rmse", "accuracy_pct", "whiteness", "n_samples", "metric_def",
+            "burn_in", "scenario", "config_hash", "noise",
+            "gain_converged_step", "rows_changed", "lost", "same_stream_as",
+            "mean_delay_samples"]
+        assert all((out / f"scenario_{i}_run.csv").exists()
+                   for i in range(2, 7))
+
+    def test_sample_delay_range_reaches_impair(self, tmp_path, dataset_csv):
+        # Per-sample draws from scenarios 1 and 2's 0.5-2 ms ranges never
+        # move a 30 Hz sample; scenario 6's 200-5000 ms range does.
+        bodies = {}
+        for name, flags in (("default", []),
+                            ("ranged", ["--sample-delay-range"])):
+            out = tmp_path / name
+            assert main(["sweep", "--dataset", str(dataset_csv),
+                         "--out", str(out), "--block-rows", "10"]
+                        + flags) == 0
+            bodies[name] = [
+                (out / f"scenario_{i}_run.csv").read_bytes().split(b"\n", 1)[1]
+                for i in range(1, 7)]
+        assert bodies["ranged"][:5] == bodies["default"][:5]
+        assert bodies["ranged"][5] != bodies["default"][5]
+        ranged = tmp_path / "ranged"
+        doc = json.loads((ranged / "scenario_6_report.json").read_text())
+        assert doc["scenario"]["delay_range_ms"] == [200.0, 5000.0]
+        # the run CSV's observed columns are impair's ranged draw
+        config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
+                                           block_rows=10)
+        _, norm = pipeline.model_and_data(config, config.dataset)
+        stream = netsim.impair(norm.outputs, config.resolve_scenarios()[5],
+                               norm.dt, sample_delay_range=True)
+        table = np.loadtxt(ranged / "scenario_6_run.csv", delimiter=",",
+                           skiprows=2)
+        np.testing.assert_array_equal(table[:, 1:3], stream.observed)
+
     def test_repeated_label_is_config_error(self, tmp_path, dataset_csv,
                                             capsys):
         # "scenario_2" is also the default tag of the unlabelled second
@@ -836,6 +903,24 @@ class TestImpair:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("argv", [["sweep", "--seed", "x"],
+                                      ["identify", "--bogus"], []],
+                             ids=["bad_int", "unknown_option", "no_command"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # argparse's own status, 2, is the data-error code here
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: telekf")
+        assert "error: " in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: telekf")
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         rc = main(["identify", "--dataset", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
