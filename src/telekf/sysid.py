@@ -131,22 +131,19 @@ class SubspaceDecomposition:
 _CHOLQR_MAX_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
-def _stack_gram(inputs: np.ndarray, outputs: np.ndarray,
-                block_rows: int) -> np.ndarray:
-    """Gram matrix X X' of the stack X = [U; Y] of the input and output
-    block Hankel matrices (block_rows block rows, N - block_rows + 1
-    columns), formed from the series without building X.
+def _stack_gram(S: np.ndarray, block_rows: int) -> np.ndarray:
+    """Gram matrix H H' of H = build_hankel(S) (block_rows block rows,
+    N - block_rows + 1 columns) of the series S, formed without building H.
 
-    With s_t the row t of S = [inputs | outputs], block (i, k) of the Gram
-    of build_hankel(S) is H(i, k) = sum_j s_(i+j) s_(k+j)' over the cols
-    columns j.  Its first block row is block_rows lagged products of S.
-    Down each block diagonal, H(i+1, k+1) = H(i, k) - s_i s_k' +
-    s_(i+cols) s_(k+cols)', so one cumulative sum of these rank-one slides,
-    taken for all lags at once, gives the rest.  That is O(N d m^2) flops
-    for d = block_rows and m channels, against O(N d^2 m^2) for X X'.
+    With s_t the row t of S, block (i, k) of H H' is H(i, k) =
+    sum_j s_(i+j) s_(k+j)' over the cols columns j.  Its first block row is
+    block_rows lagged products of S.  Down each block diagonal,
+    H(i+1, k+1) = H(i, k) - s_i s_k' + s_(i+cols) s_(k+cols)', so one
+    cumulative sum of these rank-one slides, taken for all lags at once,
+    gives the rest.  That is O(N d m^2) flops for d = block_rows and m
+    channels, against O(N d^2 m^2) for H H'.
     """
-    d, m_in = block_rows, inputs.shape[1]
-    S = np.hstack([inputs, outputs])
+    d = block_rows
     cols, m = S.shape[0] - d + 1, S.shape[1]
     # H[i, l] = H(i, i + l); only the entries with i + l < d are used.
     H = np.empty((d, d, m, m))
@@ -163,20 +160,16 @@ def _stack_gram(inputs: np.ndarray, outputs: np.ndarray,
     np.cumsum(H, axis=0, out=H)
 
     # Block (i, k) is H[min(i, k), |k - i|], transposed below the block
-    # diagonal.  order lists the rows of [U; Y] among those of
-    # build_hankel(S): every block row's input channels, then its outputs.
+    # diagonal.
     i, k = np.indices((d, d))
     blocks = H[np.minimum(i, k), np.abs(k - i)]
     blocks = np.where((k < i)[:, :, None, None], blocks.swapaxes(2, 3), blocks)
-    rows = np.arange(d * m).reshape(d, m)
-    order = np.concatenate([rows[:, :m_in].ravel(), rows[:, m_in:].ravel()])
-    return blocks.transpose(0, 2, 1, 3).reshape(d * m, d * m)[np.ix_(order, order)]
+    return blocks.transpose(0, 2, 1, 3).reshape(d * m, d * m)
 
 
 #: Hankel columns per chunk of _lq_factor's second pass.  A chunk holds
-#: its slices of Q and Y plus the W22 Y product (U goes before Y is
-#: built), about 2 times the d (m_in + m_out) x _CHUNK doubles of one
-#: [U; Y] slice when m_in = m_out.  Of 256 .. 8192,
+#: its slice of the Hankel matrix and of Q, 2 times the d (m_in + m_out)
+#: x _CHUNK doubles of one [U; Y] slice.  Of 256 .. 8192,
 #: 2048 and 4096 timed fastest on 36,000 x (6+6) samples at d = 20, and
 #: 512 about 10% slower; 2048 holds half the memory of 4096.  1,240 x
 #: (3+3) samples fit in one chunk; chunks of 512 saved 0.6 ms of 6 there.
@@ -190,47 +183,45 @@ def _lq_factor(inputs: np.ndarray, outputs: np.ndarray, block_rows: int
     and outputs; also the path taken and its condition estimate.
 
     CholeskyQR2 in two passes over the series, neither of which holds the
-    whole stack.  The first factors the Gram matrix L1 L1' of [U; Y], which
-    _stack_gram forms from lagged products of the series.  The second
-    needs Q = L1^-1 [U; Y] only through Q Q', so it builds U and Y
-    _CHUNK columns at a time and sums the chunks' Q_c Q_c'; then
-    L = L1 chol(Q Q').  A wider chunk holds more memory, and _CHUNK is the
-    width that timed fastest on a long recording (see its comment).  When
-    a Cholesky step fails or the estimate ||L1||_1 ||L1^-1||_1 exceeds
-    _CHOLQR_MAX_COND (noise-free or rank-deficient data), a Householder QR
-    of the whole stacked transpose takes over, with its rows signed so
-    both paths return the same factor.
+    whole stack.  [U; Y] is build_hankel(S) of S = [inputs | outputs] with
+    its rows in the order of one index array, ``order``: every block row's
+    input channels, then its outputs.  The first pass factors the Gram
+    matrix L1 L1' of [U; Y], _stack_gram's Gram of build_hankel(S) in that
+    order.  The second needs Q = L1^-1 [U; Y] only through Q Q', so it
+    builds build_hankel(S) _CHUNK columns at a time, multiplies each chunk
+    by W, L1^-1 with its columns permuted, and sums the chunks' Q_c Q_c';
+    then L = L1 chol(Q Q').  When a Cholesky step fails or the estimate
+    ||L1||_1 ||L1^-1||_1 exceeds _CHOLQR_MAX_COND (noise-free or
+    rank-deficient data), a Householder QR of the whole stacked transpose
+    takes over, with its rows signed so both paths return the same factor.
     """
-    d = block_rows
-    cols = inputs.shape[0] - d + 1
-    du = d * inputs.shape[1]
+    d, m_in = block_rows, inputs.shape[1]
+    cols, m = inputs.shape[0] - d + 1, m_in + outputs.shape[1]
+    order = np.argsort(np.arange(d * m) % m >= m_in, kind="stable")
+
+    def stack(start: int, stop: int) -> np.ndarray:
+        """Columns start..stop-1 of build_hankel(S), from their slice of S."""
+        S = np.hstack([inputs[start:stop + d - 1], outputs[start:stop + d - 1]])
+        return build_hankel(S, d, stop - start)
+
     try:
-        L1 = np.linalg.cholesky(_stack_gram(inputs, outputs, d))
-        W = np.linalg.inv(L1)
+        L1 = np.linalg.cholesky(
+            _stack_gram(np.hstack([inputs, outputs]), d)[np.ix_(order, order)])
+        # W build_hankel(S) = L1^-1 [U; Y] for W[:, order] = L1^-1, and
+        # permuting its columns keeps the 1-norm
+        W = np.empty_like(L1)
+        W[:, order] = np.linalg.inv(L1)
         cond_est = float(np.linalg.norm(L1, 1) * np.linalg.norm(W, 1))
         if cond_est <= _CHOLQR_MAX_COND:
-            QQ = np.zeros_like(L1)
+            QQ = 0.0  # no zeros are held beside the first chunk
             for start in range(0, cols, _CHUNK):
-                stop = min(start + _CHUNK, cols)
-                # W is lower triangular: W [U; Y] = [W11 U; W21 U + W22 Y].
-                # Each slice goes once used, so at most Q, Y and W22 Y are
-                # held at once.
-                U = build_hankel(inputs[start:stop + d - 1], d, stop - start)
-                Q = np.empty((L1.shape[0], stop - start))
-                np.matmul(W[:du, :du], U, out=Q[:du])
-                np.matmul(W[du:, :du], U, out=Q[du:])
-                del U
-                Y = build_hankel(outputs[start:stop + d - 1], d, stop - start)
-                Q[du:] += W[du:, du:] @ Y
-                del Y
+                Q = W @ stack(start, min(start + _CHUNK, cols))
                 QQ += Q @ Q.T
-                del Q
+                del Q  # before the next chunk's slice is built
             return L1 @ np.linalg.cholesky(QQ), "cholesky_qr2", cond_est
     except np.linalg.LinAlgError:
         cond_est = None
-    U = build_hankel(inputs, d, cols)
-    Y = build_hankel(outputs, d, cols)
-    R = np.triu(np.linalg.qr(np.vstack([U, Y]).T, mode="r"))
+    R = np.triu(np.linalg.qr(stack(0, cols)[order].T, mode="r"))
     R[np.diag(R) < 0] *= -1.0
     return R.T, "householder", cond_est
 

@@ -74,9 +74,10 @@ class TestStackGram:
         for n_samples in (2 * d * max(m_in, m_out) + 1, 400):
             u, y = noisy_series(rng, n_samples, m_in, m_out)
             u += 0.5  # an offset, as min-max scaling leaves
-            X = np.vstack(hankels(u, y, d))
-            ref = X @ X.T
-            G = sysid._stack_gram(u, y, d)
+            S = np.hstack([u, y])
+            H = build_hankel(S, d, n_samples - d + 1)
+            ref = H @ H.T
+            G = sysid._stack_gram(S, d)
             assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
             np.testing.assert_array_equal(G, G.T)
 
