@@ -253,11 +253,25 @@ def _cell(row: int, col: int, header: list[str]) -> str:
     return f"row {row}, column {col} ({header[col]})"
 
 
+def _not_utf8(raw: bytes) -> str | None:
+    """Name the first byte of ``raw`` that is not UTF-8 and its 1-based
+    line, counting LF, CRLF and CR ends (error path only); None when
+    every byte is."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte ends no line, so the last line up to it is its own
+        return (f"line {len(raw[:exc.start + 1].splitlines())} is not UTF-8 "
+                f"(byte 0x{raw[exc.start]:02x})")
+    return None
+
+
 def _find_bad_cell(raw: bytes, header: list[str]) -> str | None:
     """Describe the first body row whose field count is off or whose cell
-    is not a number, rescanning the file's bytes row by row (error path
-    only); None when the scan finds no such row or cannot read the bytes
-    (a byte that is not UTF-8, a field too long for csv)."""
+    is not a number, or the first byte that is not UTF-8 when the scan
+    meets it first, rescanning the file's bytes row by row (error path
+    only); None when the scan finds neither or cannot read the bytes (a
+    field too long for csv)."""
     try:
         rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig",
                                            newline=""))
@@ -273,6 +287,8 @@ def _find_bad_cell(raw: bytes, header: list[str]) -> str | None:
                 except ValueError:
                     return (f"non-numeric value {cell!r} at "
                             f"{_cell(r, c, header)}")
+    except UnicodeDecodeError:  # its position counts from a chunk start
+        return _not_utf8(raw)
     except (ValueError, csv.Error):
         pass
     return None
@@ -460,7 +476,8 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
         raise DataError(f"{path}: empty file") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         # the header read decodes the file's first chunk
-        raise DataError(f"{path}: {exc}") from exc
+        where = _not_utf8(raw) if isinstance(exc, UnicodeDecodeError) else exc
+        raise DataError(f"{path}: {where}") from exc
     header = [h.strip() for h in header]
     has_time = bool(header) and header[0] == "t"
     for name in header[1:] if has_time else header:
@@ -495,8 +512,8 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
             k = int(np.argmax(bad))
             raise DataError(
                 f"{path}: timestamps must increase uniformly; rows {k + 1} "
-                f"to {k + 2} step by {steps[k]!r}, the first step is "
-                f"{steps[0]!r}")
+                f"to {k + 2} step by {float(steps[k])}, the first step is "
+                f"{float(steps[0])}")
         if dt is None:
             dt = float(steps[0])
     return TrajectoryDataset(

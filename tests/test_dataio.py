@@ -164,22 +164,37 @@ class TestLoaderDialect:
         with pytest.raises(DataError, match=re.escape(message)):
             dataio.load_dataset(p)
 
-    @pytest.mark.parametrize("data", [
-        b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1,\xff\n",
-        b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1," + b"x" * 200_000,
-        b"u:\xe90,y:b\n1,2\n3,4\n",
-        b"u:a,y:b\n1,2\n" + b"1,\xe9\n" + b"1,2\n" * 100,
-        b"u:" + b"a" * 200_000 + b",y:b\n1,2\n3,4\n",
+    @pytest.mark.parametrize("data, message", [
+        (b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1,\xff\n",
+         re.escape("line 4098 is not UTF-8 (byte 0xff)")),
+        # numpy's message: csv cannot read the cell either
+        (b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1," + b"x" * 200_000,
+         "could not convert string 'x+.*"),
+        (b"u:\xe90,y:b\n1,2\n3,4\n", re.escape("line 1 is not UTF-8 (byte 0xe9)")),
+        (b"u:a,y:b\n1,2\n" + b"1,\xe9\n" + b"1,2\n" * 100,
+         re.escape("line 3 is not UTF-8 (byte 0xe9)")),
+        (b"u:" + b"a" * 200_000 + b",y:b\n1,2\n3,4\n",
+         re.escape("field larger than field limit (131072)")),
+        # the byte order mark is no line; CRLF and CR each end one
+        (b"\xef\xbb\xbfu:a,y:b\r\n" + b"1,2\r\n" * 3000 + b"1,2\r" * 3000
+         + b"1,\xfe\r\n", re.escape("line 6002 is not UTF-8 (byte 0xfe)")),
     ], ids=["non_utf8_byte", "overlong_field", "non_utf8_header",
-            "non_utf8_byte_in_first_chunk", "overlong_header_field"])
-    def test_unreadable_cell_past_first_chunk_is_data_error(self, tmp_path,
-                                                             data):
-        # past the first chunk the row scan cannot read these cells either,
-        # and numpy's message stays; within it the header read fails
+            "non_utf8_byte_in_first_chunk", "overlong_header_field",
+            "non_utf8_byte_after_crlf_and_cr"])
+    def test_unreadable_cell_past_first_chunk_is_data_error(
+            self, tmp_path, request, data, message):
+        # past the first chunk the row scan meets the byte or cannot read
+        # the cell; within it the header read fails.  A byte that is not
+        # UTF-8 is named by its file line, whichever chunk or part meets it.
         p = tmp_path / "d.csv"
         p.write_bytes(data)
-        with pytest.raises(DataError, match=str(p.name)):
-            dataio.load_dataset(p)
+        for parts in (False, True):
+            if parts:
+                request.getfixturevalue("forks")
+            with pytest.raises(DataError) as info:
+                dataio.load_dataset(p)
+            assert re.fullmatch(re.escape(f"{p}: ") + message,
+                                str(info.value), re.S), str(info.value)[:200]
 
     @pytest.mark.parametrize("parts", [False, True], ids=["serial", "parts"])
     def test_byte_order_mark_is_dropped(self, tmp_path, request, parts):
@@ -229,6 +244,15 @@ class TestTimestamps:
         p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "\n".join(rows))
         with pytest.raises(DataError, match="uniformly"):
             dataio.load_dataset(p)
+
+    def test_non_uniform_message_prints_plain_floats(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv",
+                      "t,u:a,y:b\n0.0,1,2\n0.1,3,4\n0.2,5,6\n0.2,7,8\n")
+        with pytest.raises(DataError) as info:
+            dataio.load_dataset(p)
+        assert str(info.value) == (
+            f"{p}: timestamps must increase uniformly; rows 3 to 4 step by "
+            "0.0, the first step is 0.1")
 
     def test_explicit_dt_still_checks_uniformity(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n0,1,2\n1,3,4\n3,5,6\n")
