@@ -233,26 +233,25 @@ class TestTimestamps:
         p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "\n".join(rows))
         assert dataio.load_dataset(p).dt == dt
 
-    @pytest.mark.parametrize("times", [
-        [0.0, 0.1, 0.2, 0.35, 0.4],    # one long step
-        [0.0, 0.1, 0.2, 0.2, 0.3],     # repeated timestamp
-        [0.4, 0.3, 0.2, 0.1, 0.0],     # decreasing
-        [0.0, 0.1, 0.2, 0.300001, 0.4],  # off by 1e-5 of a step
+    # the steps print as plain floats, not numpy reprs
+    @pytest.mark.parametrize("times, steps", [
+        ([0.0, 0.1, 0.2, 0.35, 0.4],       # one long step
+         "rows 3 to 4 step by 0.14999999999999997, the first step is 0.1"),
+        ([0.0, 0.1, 0.2, 0.2, 0.3],        # repeated timestamp
+         "rows 3 to 4 step by 0.0, the first step is 0.1"),
+        ([0.4, 0.3, 0.2, 0.1, 0.0],        # decreasing
+         "rows 1 to 2 step by -0.10000000000000003, the first step is "
+         "-0.10000000000000003"),
+        ([0.0, 0.1, 0.2, 0.300001, 0.4],   # off by 1e-5 of a step
+         "rows 3 to 4 step by 0.100001, the first step is 0.1"),
     ], ids=["gap", "repeat", "decreasing", "jitter"])
-    def test_non_uniform_is_data_error(self, tmp_path, times):
+    def test_non_uniform_is_data_error(self, tmp_path, times, steps):
         rows = [f"{t},{k},{k}" for k, t in enumerate(times)]
         p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n" + "\n".join(rows))
-        with pytest.raises(DataError, match="uniformly"):
-            dataio.load_dataset(p)
-
-    def test_non_uniform_message_prints_plain_floats(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv",
-                      "t,u:a,y:b\n0.0,1,2\n0.1,3,4\n0.2,5,6\n0.2,7,8\n")
         with pytest.raises(DataError) as info:
             dataio.load_dataset(p)
         assert str(info.value) == (
-            f"{p}: timestamps must increase uniformly; rows 3 to 4 step by "
-            "0.0, the first step is 0.1")
+            f"{p}: timestamps must increase uniformly; {steps}")
 
     def test_explicit_dt_still_checks_uniformity(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "t,u:a,y:b\n0,1,2\n1,3,4\n3,5,6\n")
