@@ -132,16 +132,16 @@ _CHOLQR_MAX_COND = 1.0 / np.sqrt(np.finfo(float).eps)
 
 
 def _stack_gram(S: np.ndarray, block_rows: int) -> np.ndarray:
-    """Gram matrix H H' of H = build_hankel(S) (block_rows block rows,
-    N - block_rows + 1 columns) of the series S, formed without building H.
+    """Gram matrix X X' of X = build_hankel(S) (block_rows block rows,
+    N - block_rows + 1 columns) of the series S, formed without building X.
 
-    With s_t the row t of S, block (i, k) of H H' is H(i, k) =
+    With s_t the row t of S, block (i, k) of X X' is H(i, k) =
     sum_j s_(i+j) s_(k+j)' over the cols columns j.  Its first block row is
     block_rows lagged products of S.  Down each block diagonal,
     H(i+1, k+1) = H(i, k) - s_i s_k' + s_(i+cols) s_(k+cols)', so one
     cumulative sum of these rank-one slides, taken for all lags at once,
     gives the rest.  That is O(N d m^2) flops for d = block_rows and m
-    channels, against O(N d^2 m^2) for H H'.
+    channels, against O(N d^2 m^2) for X X'.
     """
     d = block_rows
     cols, m = S.shape[0] - d + 1, S.shape[1]
