@@ -170,7 +170,8 @@ class TestLoaderDialect:
         # numpy's message: csv cannot read the cell either
         (b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1," + b"x" * 200_000,
          "could not convert string 'x+.*"),
-        (b"u:\xe90,y:b\n1,2\n3,4\n", re.escape("line 1 is not UTF-8 (byte 0xe9)")),
+        (b"u:\xe90,y:b\n1,2\n3,4\n",
+         re.escape("line 1 is not UTF-8 (byte 0xe9)")),
         (b"u:a,y:b\n1,2\n" + b"1,\xe9\n" + b"1,2\n" * 100,
          re.escape("line 3 is not UTF-8 (byte 0xe9)")),
         (b"u:" + b"a" * 200_000 + b",y:b\n1,2\n3,4\n",
