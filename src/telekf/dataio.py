@@ -253,44 +253,31 @@ def _cell(row: int, col: int, header: list[str]) -> str:
     return f"row {row}, column {col} ({header[col]})"
 
 
-def _not_utf8(raw: bytes) -> str | None:
-    """Name the first byte of ``raw`` that is not UTF-8 and its 1-based
-    line, counting LF, CRLF and CR ends (error path only); None when
-    every byte is."""
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bad byte ends no line, so the last line up to it is its own
-        return (f"line {len(raw[:exc.start + 1].splitlines())} is not UTF-8 "
-                f"(byte 0x{raw[exc.start]:02x})")
-    return None
-
-
 def _find_bad_cell(raw: bytes, header: list[str]) -> str | None:
-    """Describe the first body row whose field count is off or whose cell
-    is not a number, or the first byte that is not UTF-8 when the scan
-    meets it first, rescanning the file's bytes row by row (error path
-    only); None when the scan finds neither or cannot read the bytes (a
-    field too long for csv)."""
+    """Describe the first body row that csv cannot read, whose field count
+    is off or whose cell is not a number as np.loadtxt reads one (not a
+    non-ASCII digit), rescanning the file's UTF-8 bytes row by row (error
+    path only); None when the scan finds none."""
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig",
+                                       newline=""))
+    next(rows)
+    r = 0
     try:
-        rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig",
-                                           newline=""))
-        next(rows)
         for r, row in enumerate((row for row in rows if row), 1):
             if len(row) != len(header):
                 return (f"data row {r} has {len(row)} fields, expected "
                         f"{len(header)}")
             for c, cell in enumerate(row):
                 try:
-                    # np.loadtxt refuses the digit separators float() takes
-                    float(cell.replace("_", "?"))
+                    # np.loadtxt refuses the digit separators and the
+                    # non-ASCII digits float() takes, though not Unicode
+                    # space around a number
+                    float(cell.strip().encode("ascii").replace(b"_", b"?"))
                 except ValueError:
                     return (f"non-numeric value {cell!r} at "
                             f"{_cell(r, c, header)}")
-    except UnicodeDecodeError:  # its position counts from a chunk start
-        return _not_utf8(raw)
-    except (ValueError, csv.Error):
-        pass
+    except csv.Error as exc:  # a field too long, say
+        return f"data row {r + 1}: {exc}"
     return None
 
 
@@ -462,22 +449,31 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     dt is that first step unless ``dt`` is given explicitly.  The body is
     comma-separated numbers, optionally double-quoted or space-padded,
     with LF, CRLF or CR line ends; blank lines are skipped.  The file is
-    UTF-8, optionally after a byte order mark; other bytes are a DataError.
-    The file is read once, so a pipe parses like a regular file.
+    read once, so a pipe parses like a regular file.  A file that is not
+    UTF-8 (after an optional byte order mark) is a DataError before any
+    cell is read.  Otherwise a DataError names the first unreadable data
+    row (from 1, blank lines not counted) and its cell's 0-based column; a
+    non-ASCII digit is not a number.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot open dataset file {path}: {exc}") from exc
+    if not raw.isascii():  # an ASCII file needs no decode, nor its copy
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the bad byte ends no line, so the last line up to it is its own
+            raise DataError(
+                f"{path}: line {len(raw[:exc.start + 1].splitlines())} is "
+                f"not UTF-8 (byte 0x{raw[exc.start]:02x})") from exc
     f = io.TextIOWrapper(io.BytesIO(raw), "utf-8-sig", newline="")
     try:
         header = next(csv.reader(f))
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
-        # the header read decodes the file's first chunk
-        where = _not_utf8(raw) if isinstance(exc, UnicodeDecodeError) else exc
-        raise DataError(f"{path}: {where}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
     header = [h.strip() for h in header]
     has_time = bool(header) and header[0] == "t"
     for name in header[1:] if has_time else header:

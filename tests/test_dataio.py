@@ -167,9 +167,8 @@ class TestLoaderDialect:
     @pytest.mark.parametrize("data, message", [
         (b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1,\xff\n",
          re.escape("line 4098 is not UTF-8 (byte 0xff)")),
-        # numpy's message: csv cannot read the cell either
         (b"u:a,y:b\n" + b"1,2\n" * 4096 + b"1," + b"x" * 200_000,
-         "could not convert string 'x+.*"),
+         re.escape("data row 4097: field larger than field limit (131072)")),
         (b"u:\xe90,y:b\n1,2\n3,4\n",
          re.escape("line 1 is not UTF-8 (byte 0xe9)")),
         (b"u:a,y:b\n1,2\n" + b"1,\xe9\n" + b"1,2\n" * 100,
@@ -179,14 +178,16 @@ class TestLoaderDialect:
         # the byte order mark is no line; CRLF and CR each end one
         (b"\xef\xbb\xbfu:a,y:b\r\n" + b"1,2\r\n" * 3000 + b"1,2\r" * 3000
          + b"1,\xfe\r\n", re.escape("line 6002 is not UTF-8 (byte 0xfe)")),
+        # a file that is not UTF-8 is rejected before any cell is read
+        (b"u:a,y:b\n" + b"1,2\n" * 9 + b"1,x\n" + b"1,2\n" * 5000
+         + b"1,\xff\n", re.escape("line 5012 is not UTF-8 (byte 0xff)")),
     ], ids=["non_utf8_byte", "overlong_field", "non_utf8_header",
             "non_utf8_byte_in_first_chunk", "overlong_header_field",
-            "non_utf8_byte_after_crlf_and_cr"])
+            "non_utf8_byte_after_crlf_and_cr", "non_utf8_byte_after_bad_cell"])
     def test_unreadable_cell_past_first_chunk_is_data_error(
             self, tmp_path, request, data, message):
-        # past the first chunk the row scan meets the byte or cannot read
-        # the cell; within it the header read fails.  A byte that is not
-        # UTF-8 is named by its file line, whichever chunk or part meets it.
+        # a byte that is not UTF-8 is named by its file line, whichever
+        # chunk or part holds it; a row csv cannot read, by its data row
         p = tmp_path / "d.csv"
         p.write_bytes(data)
         for parts in (False, True):
@@ -196,6 +197,42 @@ class TestLoaderDialect:
                 dataio.load_dataset(p)
             assert re.fullmatch(re.escape(f"{p}: ") + message,
                                 str(info.value), re.S), str(info.value)[:200]
+
+    @pytest.mark.parametrize("cell, value", [
+        ("\u0661", "non-numeric value {!r}"),
+        ("\uff11", "non-numeric value {!r}"),
+        ("\u00a02", 2.0),
+        ("2\u2003", 2.0),
+        ("\u30002", 2.0),
+        ("2\u200b", "non-numeric value {!r}"),
+        ("1_0", "non-numeric value {!r}"),
+        ("0x1p3", "non-numeric value {!r}"),
+        ("", "non-numeric value {!r}"),
+        ("1e400", "non-finite value"),
+        ("nan", "non-finite value"),
+        ("Infinity", "non-finite value"),
+    ], ids=["arabic_indic_digit", "fullwidth_digit", "nbsp_padded",
+            "em_space_padded", "ideographic_space_padded",
+            "zero_width_space", "digit_separator", "hex_float", "empty",
+            "overflow", "nan", "infinity"])
+    def test_cell_spelling_loads_or_is_named(self, tmp_path, request, cell,
+                                             value):
+        # float() takes more spellings than np.loadtxt: the cell loads as
+        # np.loadtxt reads it, or the error names it, serially and in parts
+        rows = [f"{k},{k % 7},{k % 5}" for k in range(30)]
+        rows[27] = f"27,3,{cell}"
+        p = tmp_path / "d.csv"
+        p.write_bytes(("t,u:a,y:b\n" + "\n".join(rows) + "\n").encode())
+        for parts in (False, True):
+            forks = request.getfixturevalue("forks") if parts else []
+            if isinstance(value, float):
+                assert dataio.load_dataset(p).outputs[27, 0] == value
+            else:
+                with pytest.raises(DataError) as info:
+                    dataio.load_dataset(p)
+                assert str(info.value) == \
+                    f"{p}: {value.format(cell)} at row 28, column 2 (y:b)"
+            assert len(forks) == (2 if parts else 0)
 
     @pytest.mark.parametrize("parts", [False, True], ids=["serial", "parts"])
     def test_byte_order_mark_is_dropped(self, tmp_path, request, parts):
