@@ -121,8 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             best = result["result"]["best"]
             print(f"best-fitting accuracy formula: {best} "
                   f"(ranking at {result['path']})")
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -190,7 +190,6 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "energy_ratio": float(np.sum(ss[:model.order]) / np.sum(ss)),
         "spectral_radius": model.spectral_radius,
         "unstable": model.is_unstable,
-        "warnings": list(decomp.warnings),
         "n_singular_values": int(ss.size),
         "lq_method": decomp.lq_method,
         "lq_cond_est": decomp.lq_cond_est,

@@ -121,7 +121,6 @@ class SubspaceDecomposition:
     lq_method: str
     lq_cond_est: float | None
     cond_r11: float
-    warnings: tuple[str, ...] = ()
 
 
 #: CholeskyQR2 matches Householder accuracy while the stack's condition
@@ -254,20 +253,12 @@ def moesp_decompose(inputs: np.ndarray, outputs: np.ndarray,
     R21 = L[du:, :du]
     U1, ss, _ = np.linalg.svd(L[du:, du:])
 
-    warns = []
-    cond_r11 = np.inf  # no input block: realize has no R11 to invert
-    if du > 0:
-        cond_r11 = float(np.linalg.cond(R11))
-        diag = np.abs(np.diag(R11))
-        scale = diag.max() if diag.size else 0.0
-        if scale == 0.0 or np.any(diag < 1e-12 * scale):
-            warns.append("input Hankel block is rank deficient "
-                         "(inputs not persistently exciting)")
+    # no input block: realize has no R11 to invert
+    cond_r11 = float(np.linalg.cond(R11)) if du else np.inf
     return SubspaceDecomposition(
         singular_values=ss, R11=R11, R21=R21, U1=U1,
         block_rows=d, m_in=m_in, m_out=m_out, lq_method=lq_method,
-        lq_cond_est=lq_cond_est, cond_r11=cond_r11,
-        warnings=tuple(warns))
+        lq_cond_est=lq_cond_est, cond_r11=cond_r11)
 
 
 def select_order(singular_values: np.ndarray, energy: float = 0.85,

@@ -475,16 +475,19 @@ class TestSweep:
                         .splitlines()[2:])
         assert outs[0] != outs[1]
 
-    @pytest.mark.parametrize("name", ["eps_q"])
-    def test_overflowing_noise_scale_fails_every_row(self, tmp_path,
-                                                     dataset_csv, monkeypatch,
-                                                     name):
-        # a finite but huge covariance overflows the first innovation
-        # variance of the sweep's one noise bootstrap: each scenario is
-        # recorded as failed, naming the sample, instead of ending the
-        # sweep, and no stream is impaired
+    @pytest.mark.parametrize("doc, message", [
+        ({"eps_q": 1e308}, "sample 2: degenerate innovation variance inf"),
+        ({"burn_in": 800}, "burn_in 800 >= series length 800"),
+    ], ids=["eps_q", "burn_in_past_end"])
+    def test_failed_setup_fails_every_row(self, tmp_path, dataset_csv,
+                                          monkeypatch, doc, message):
+        # the sweep's one truth check or noise bootstrap fails before its
+        # scenario loop (a burn-in that leaves no sample to score, or a
+        # finite but huge covariance that overflows the first innovation
+        # variance): each scenario is recorded as failed, naming the
+        # cause, instead of ending the sweep, and no stream is impaired
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({name: 1e308}))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         calls = []
         monkeypatch.setattr(netsim, "impair",
@@ -496,8 +499,7 @@ class TestSweep:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 8  # stamp + header + six scenarios
         for line in lines[2:]:
-            assert re.fullmatch(r"error: sample 2: degenerate innovation "
-                                r"variance inf", line.split(",")[-1])
+            assert line.split(",")[-1] == f"error: {message}"
         assert not list(out.glob("*_run.csv"))
         assert not list(out.glob("*_report.json"))
 
@@ -904,8 +906,9 @@ class TestImpair:
 
 class TestErrors:
     @pytest.mark.parametrize("argv", [["sweep", "--seed", "x"],
-                                      ["identify", "--bogus"], []],
-                             ids=["bad_int", "unknown_option", "no_command"])
+                                      ["identify", "--bogus"], [], ["bogus"]],
+                             ids=["bad_int", "unknown_option", "no_command",
+                                  "unknown_command"])
     def test_usage_error_exits_1(self, argv, capsys):
         # argparse's own status, 2, is the data-error code here
         with pytest.raises(SystemExit) as info:
@@ -935,14 +938,23 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"data error: {path}: ")
         assert not (tmp_path / "o").exists()
 
-    def test_one_block_row_is_data_error(self, tmp_path, dataset_csv,
-                                         capsys):
-        rc = main(["identify", "--dataset", str(dataset_csv),
-                   "--block-rows", "1", "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("argv, message", [
+        (["identify", "--block-rows", "1"],
+         "block_rows = 1: realize needs block_rows >= 2"),
+        (["identify", "--block-rows", "2", "--order", "4"],
+         "block_rows * m_out = 4 must exceed order 4"),
+        (["validate", "--validation-dataset", "{data}", "--block-rows", "10",
+          "--burn-in", "800"], "burn_in 800 >= series length 800"),
+    ], ids=["one_block_row", "order_at_block_rows_times_outputs",
+            "burn_in_past_end"])
+    def test_setting_the_data_cannot_meet_is_data_error(
+            self, tmp_path, dataset_csv, capsys, argv, message):
+        argv = [a.format(data=dataset_csv) for a in argv]
+        out = tmp_path / "o"
+        rc = main(argv + ["--dataset", str(dataset_csv), "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: block_rows = 1")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
 
     def test_no_dataset_is_config_error(self, tmp_path):
         rc = main(["identify", "--out", str(tmp_path / "o")])
@@ -1041,34 +1053,53 @@ class TestErrors:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        "{not json",
-        json.dumps({"A": [[0.5]], "C": [[1.0]], "D": [[0.0]], "dt": 0.1}),
-        json.dumps({"A": [[0.5]], "B": [["x"]], "C": [[1.0]], "D": [[0.0]],
-                    "dt": 0.1}),
-        json.dumps([1, 2]),
-        json.dumps({"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
-                    "D": [[0.0]], "dt": 0.1}),
-        _model_text(a=float("nan")),
-        _model_text(first_min=float("nan")),
-        _model_text(last_max=float("inf")),
-        _model_text(roles=("input",) * 3 + ("output",) * 2),
-        _model_text(roles=("input",) * 2),
-        _model_text().replace('"max": 1.0', '"max": 1e400', 1),
-        _model_text(a=10**400),
+    @pytest.mark.parametrize("text, cause", [
+        ("{not json", "ConfigError('bad JSON in model"),
+        (json.dumps({"A": [[0.5]], "C": [[1.0]], "D": [[0.0]], "dt": 0.1}),
+         "KeyError('B')"),
+        (json.dumps({"A": [[0.5]], "B": [["x"]], "C": [[1.0]], "D": [[0.0]],
+                     "dt": 0.1}), "could not convert string to float"),
+        (json.dumps([1, 2]), "TypeError("),
+        (json.dumps({"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
+                     "D": [[0.0]], "dt": 0.1}),
+         "DataError('A must be square, got (1, 2)')"),
+        (_model_text(a=float("nan")), "non-standard JSON constant NaN"),
+        (_model_text(first_min=float("nan")),
+         "non-standard JSON constant NaN"),
+        (_model_text(last_max=float("inf")),
+         "non-standard JSON constant Infinity"),
+        (_model_text(roles=("input",) * 3 + ("output",) * 2),
+         "DataError('3 input channel entries for 2 inputs')"),
+        (_model_text(roles=("input",) * 2),
+         "DataError('0 output channel entries for 2 outputs')"),
+        (_model_text().replace('"max": 1.0', '"max": 1e400', 1),
+         "number 1e400 beyond the float range"),
+        (_model_text(a=10**400), "int too large to convert to float"),
+        (_model_text().replace('"B": [[1.0, 0.0]]',
+                               '"B": [[1.0, 0.0], [0.0, 1.0]]'),
+         "DataError('B row count 2 != order 1')"),
+        (_model_text().replace('"C": [[1.0], [0.0]]',
+                               '"C": [[1.0, 0.0], [0.0, 1.0]]'),
+         "DataError('C column count 2 != order 1')"),
+        (_model_text().replace('"D": [[0.0, 0.0], [0.0, 0.0]]',
+                               '"D": [[0.0]]'),
+         "DataError('D shape (1, 1) inconsistent with C/B (2, 2)')"),
     ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
             "non_square_A", "nan_entry", "nan_min", "infinite_max",
             "extra_input_entry", "no_output_entries", "max_beyond_float",
-            "huge_int_entry"])
+            "huge_int_entry", "B_rows_not_order", "C_columns_not_order",
+            "D_shape_not_C_by_B"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
-                                           capsys, text):
+                                           capsys, text, cause):
         model = tmp_path / "bad.json"
         model.write_text(text)
         rc = main(["sweep", "--dataset", str(dataset_csv),
                    "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert (f"cannot load StateSpaceModel from {model}"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"data error: cannot load StateSpaceModel from {model}: ")
+        assert cause in err
 
     def test_hand_written_model_loads(self, tmp_path, dataset_csv):
         # the document the malformed-model cases above spoil is itself good
@@ -1303,7 +1334,7 @@ class TestErrors:
         assert main(["identify", "--config", str(cfg), "--dataset",
                      str(dataset_csv), "--out", str(tmp_path / "o")]) == 0
 
-    def test_degenerate_data_is_numerical_error(self, tmp_path):
+    def test_degenerate_data_is_numerical_error(self, tmp_path, capsys):
         n = 200
         zeros = np.zeros((n, 1))
         path = tmp_path / "flatline.csv"
@@ -1317,6 +1348,10 @@ class TestErrors:
         rc = main(["identify", "--dataset", str(path),
                    "--out", str(tmp_path / "o"), "--block-rows", "5"])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical error: singular R11 (insufficient input excitation, "
+            "cond=inf)\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestCalibrate:

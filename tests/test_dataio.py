@@ -67,10 +67,17 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="fields"):
             dataio.load_dataset(p)
 
-    def test_missing_role_prefix(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", "a,y:b\n1,2\n3,4\n")
-        with pytest.raises(DataError, match="role prefix"):
+    @pytest.mark.parametrize("text, message", [
+        ("a,y:b\n1,2\n3,4\n", "column 'a' lacks a u:/y: role prefix"),
+        ("u:a,u:b\n1,2\n3,4\n", "need at least one u: and one y: column"),
+        ("y:a,y:b\n1,2\n3,4\n", "need at least one u: and one y: column"),
+        ("", "empty file"),
+    ], ids=["no_prefix", "no_output", "no_input", "empty"])
+    def test_missing_role_prefix(self, tmp_path, text, message):
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DataError) as info:
             dataio.load_dataset(p)
+        assert str(info.value) == f"{p}: {message}"
 
     def test_single_row_rejected(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "u:a,y:b\n1,2\n")
