@@ -100,15 +100,15 @@ def main(argv: list[str] | None = None) -> int:
         config = config_from_args(args)
         if args.command == "identify":
             result = pipeline.cmd_identify(config)
-            print(f"order {result['order']}, model written to "
-                  f"{result['paths']['model']}")
+            print(f"order {result['model'].order}, model written to "
+                  f"{result['path']}")
         elif args.command == "validate":
             result = pipeline.cmd_validate(config)
             report = result["report"]
             accs = ", ".join(f"{a:.2f}%" for a in report.accuracy_pct)
             print(f"validation accuracy: {accs} "
                   f"({report.metric_def}); report at "
-                  f"{result['paths']['report']}")
+                  f"{result['path']}")
         elif args.command == "sweep":
             result = pipeline.cmd_sweep(config)
             print(f"sweep summary written to {result['summary']}")

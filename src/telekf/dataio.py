@@ -73,7 +73,7 @@ def read_json(path, what: str):
             return json.load(f, parse_constant=_reject_constant,
                              parse_float=_finite_float)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError, a constant, not UTF-8
         raise ConfigError(f"bad JSON in {what} {path}: {exc}") from exc
 
@@ -169,6 +169,10 @@ class ChannelScaling:
         object.__setattr__(self, "maxs", maxs)
         if np.any(maxs < mins):
             raise DataError("channel max below min")
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            bad = np.flatnonzero(~np.isfinite(maxs - mins))
+        if bad.size:
+            raise DataError(f"channel {bad[0]}: max - min is not finite")
 
     @property
     def constant(self) -> np.ndarray:

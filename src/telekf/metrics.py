@@ -213,17 +213,15 @@ def calibrate_accuracy() -> dict:
     pairs = np.asarray(REFERENCE_ACCURACY_PAIRS, dtype=float)
     r, a = pairs[:, 0], pairs[:, 1]
 
-    candidates = {}
-    # 100 (1 - r): no free parameter.
-    candidates["one_minus_rmse"] = {
-        "predicted": 100.0 * (1.0 - r), "params": {}}
     # 100 (1 - r / rho): rho fitted. Minimize sum (a - 100 + 100 r/rho)^2
-    # over s = 1/rho (linear least squares in s).
+    # over s = 1/rho (linear least squares in s); the pairs give s > 0.
     y = a - 100.0
     s = float((100.0 * r) @ y / ((100.0 * r) @ (100.0 * r))) * -1.0
-    if s > 0:
-        candidates["nrmse_range"] = {
-            "predicted": 100.0 * (1.0 - s * r), "params": {"range": 1.0 / s}}
+    candidates = {
+        # 100 (1 - r): no free parameter.
+        "one_minus_rmse": {"predicted": 100.0 * (1.0 - r), "params": {}},
+        "nrmse_range": {"predicted": 100.0 * (1.0 - s * r),
+                        "params": {"range": 1.0 / s}}}
 
     scored = []
     for name, cand in candidates.items():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, estimator, metrics, netsim, sysid
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, TelekfError
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -177,8 +177,7 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "flags": {"unstable": model.is_unstable},
         "norm_params": {"channels": channels}})
 
-    scree_path = out / "singular_values.csv"
-    _write(scree_path, dataio.table_bytes(
+    _write(out / "singular_values.csv", dataio.table_bytes(
         ["index", "singular_value"], decomp.singular_values[:, None],
         stamp=_stamp(config), first_index=1))
 
@@ -195,40 +194,43 @@ def cmd_identify(config: ExperimentConfig) -> dict:
         "lq_cond_est": decomp.lq_cond_est,
         "cond_r11": decomp.cond_r11,
     }
-    log_path = out / "identify_log.json"
-    _write_json(log_path, config, log)
-    return {"model": model, "decomposition": decomp, "order": model.order,
-            "paths": {"model": model_path, "scree": scree_path, "log": log_path}}
+    _write_json(out / "identify_log.json", config, log)
+    return {"model": model, "path": model_path}
 
 
 def load_model(path) -> tuple[sysid.StateSpaceModel,
                               dataio.NormalizationParams]:
     """Read the matrices and normalization params of a model.json written
-    by cmd_identify, grouping the channel entries' min and max by role;
-    an unreadable file or a malformed document (bad matrix shapes and
-    scaling, channel entries that do not match B's columns and C's rows,
-    a NaN or Infinity token and a number beyond the float range included)
-    is a DataError that names the file."""
+    by cmd_identify, each role's scaling from its channel entries.  A file
+    read_json refuses is a DataError in its words; any other malformed
+    document (not an object, a missing key, bad matrices, channel entries
+    that do not match B's columns and C's rows or cannot scale) is a
+    DataError that names the file."""
     try:
         doc = dataio.read_json(path, "model")
+        if not isinstance(doc, dict):
+            raise DataError("not a JSON object")
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
-        by_role = {"input": ([], []), "output": ([], [])}
-        for entry in doc["norm_params"]["channels"]:
-            mins, maxs = by_role[entry["role"]]
-            mins.append(entry["min"])
-            maxs.append(entry["max"])
+        channels = doc["norm_params"]["channels"]
+        scalings = []
         for role, width in (("input", model.m_in), ("output", model.m_out)):
-            count = len(by_role[role][0])
-            if count != width:
+            given = [e for e in channels if e["role"] == role]
+            if len(given) != width:
                 raise DataError(
-                    f"{count} {role} channel entries for {width} {role}s")
-        return model, dataio.NormalizationParams(
-            *(dataio.ChannelScaling(*by_role[role])
-              for role in ("input", "output")))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
-            ConfigError, DataError) as exc:  # ValueError: non-numbers
-        raise DataError(
-            f"cannot load StateSpaceModel from {path}: {exc!r}") from exc
+                    f"{len(given)} {role} channel entries for {width} {role}s")
+            scalings.append(dataio.ChannelScaling(
+                [e["min"] for e in given], [e["max"] for e in given]))
+        if len(channels) != model.m_in + model.m_out:  # an unknown role
+            raise DataError(f"{len(channels)} channel entries for "
+                            f"{model.m_in + model.m_out} channels")
+        return model, dataio.NormalizationParams(*scalings)
+    except ConfigError as exc:  # read_json's, which names the file
+        raise DataError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, OverflowError,
+            TelekfError) as exc:  # ValueError: non-numbers
+        missing = "missing key " if isinstance(exc, KeyError) else ""
+        raise DataError(f"cannot load StateSpaceModel from {path}: "
+                        f"{missing}{exc}") from exc
 
 
 def model_and_data(config: ExperimentConfig, path: str) -> tuple[
@@ -333,8 +335,7 @@ def cmd_sweep(config: ExperimentConfig) -> dict:
                                        axis=1).sum()),
             "lost": int(stream.loss_mask.sum()),
             "same_stream_as": None if first == tag else first,
-            "mean_delay_samples": (float(delays.mean()) if delays.size
-                                   else None)})
+            "mean_delay_samples": float(delays.mean())})
 
     stamp = _stamp(config)
     out_names = norm.output_names
@@ -386,13 +387,11 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     report_path = out / "fit_report.json"
     _write_json(report_path, config, report.to_dict())
 
-    series_path = out / "validation_series.csv"
     cols = (["k"] + [f"truth_{n}" for n in norm.output_names]
             + [f"pred_{n}" for n in norm.output_names])
-    _write(series_path, dataio.table_bytes(
+    _write(out / "validation_series.csv", dataio.table_bytes(
         cols, np.hstack([norm.outputs, predicted]), stamp=_stamp(config)))
-    return {"report": report, "paths": {"report": report_path,
-                                        "series": series_path}}
+    return {"report": report, "path": report_path}
 
 
 def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
@@ -413,7 +412,7 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
     table = np.hstack([stream.observed, stream.source_index[:, None],
                        stream.loss_mask[:, None].astype(int)], dtype=object)
     _write(path, dataio.table_bytes(cols, table, stamp=_stamp(config)))
-    return {"stream": stream, "path": path, "scenario": scenario}
+    return {"path": path}
 
 
 def cmd_calibrate_accuracy(config: ExperimentConfig) -> dict:

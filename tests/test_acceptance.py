@@ -316,7 +316,7 @@ def test_criterion_11_pipeline_performance(tmp_path):
         ident = pipeline.cmd_identify(config)
         sweep = pipeline.cmd_sweep(pipeline.ExperimentConfig(
             dataset=str(data), block_rows=20,
-            model_path=str(ident["paths"]["model"]),
+            model_path=str(ident["path"]),
             out_dir=str(tmp_path / "out")))
         elapsed = min(elapsed, time.perf_counter() - start)
     statuses = [r is not None for r in sweep["reports"]]

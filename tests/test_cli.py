@@ -59,8 +59,25 @@ def constant_output_csv(tmp_path, dataset_csv):
     return path
 
 
+@pytest.fixture()
+def wide_input_csv(tmp_path, dataset_csv):
+    """dataset_csv with u:u1 at 1.5e308 on data row 6 and -1.5e308 on data
+    row 8: each value is finite, their difference is not."""
+    ds = dataio.load_dataset(dataset_csv)
+    inputs = ds.inputs.copy()
+    inputs[[5, 7], 1] = 1.5e308, -1.5e308
+    path = tmp_path / "wide.csv"
+    dataio.save_dataset(dataio.TrajectoryDataset(
+        inputs=inputs, outputs=ds.outputs, dt=ds.dt), path)
+    return path
+
+
 ZERO_RANGE = ("output channel 1: truth range is zero; range-normalized "
               "accuracy undefined")
+
+#: the start of every message of a model.json that reads as JSON but not
+#: as a model
+LOAD = "cannot load StateSpaceModel from {model}: "
 
 
 @pytest.fixture()
@@ -95,14 +112,14 @@ class TestIdentify:
         config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
                                            block_rows=10,
                                            out_dir=str(tmp_path / "out"))
-        assert pipeline.cmd_identify(config)["order"] == 2
+        assert pipeline.cmd_identify(config)["model"].order == 2
 
     def test_model_file_roundtrip(self, tmp_path, dataset_csv):
         config = pipeline.ExperimentConfig(dataset=str(dataset_csv),
                                            block_rows=10,
                                            out_dir=str(tmp_path / "out"))
         result = pipeline.cmd_identify(config)
-        model, params = pipeline.load_model(result["paths"]["model"])
+        model, params = pipeline.load_model(result["path"])
         for name in "ABCD":
             np.testing.assert_array_equal(getattr(model, name),
                                           getattr(result["model"], name))
@@ -111,7 +128,7 @@ class TestIdentify:
                           (params.outputs, fitted.outputs)):
             np.testing.assert_array_equal(got.mins, want.mins)
             np.testing.assert_array_equal(got.maxs, want.maxs)
-        doc = json.loads(result["paths"]["model"].read_text())
+        doc = json.loads(result["path"].read_text())
         assert list(doc) == ["order", "dt", "A", "B", "C", "D",
                              "spectral_radius", "flags", "norm_params",
                              "config_hash"]
@@ -147,8 +164,9 @@ class TestIdentify:
         assert np.all(params.outputs.apply(outputs)[:, 2] == 0.0)
 
     @pytest.mark.parametrize("spoil, message", [
-        (lambda e: e.update(role="state"), "KeyError('state')"),
-        (lambda e: e.pop("min"), "KeyError('min')"),
+        (lambda e: e.update(role="state"),
+         "1 input channel entries for 2 inputs"),
+        (lambda e: e.pop("min"), "missing key 'min'"),
         (lambda e: e.update(max=-1e9), "channel max below min"),
     ], ids=["unknown_role", "missing_min", "max_below_min"])
     def test_bad_norm_params_is_data_error(self, tmp_path, dataset_csv,
@@ -165,9 +183,9 @@ class TestIdentify:
         assert main(["validate", "--model", str(model),
                      "--validation-dataset", str(validation_csv),
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"cannot load StateSpaceModel from {model}: " in err
-        assert message in err
+        assert capsys.readouterr().err == (
+            f"data error: cannot load StateSpaceModel from {model}: "
+            f"{message}\n")
 
     def test_log_records_lq_health(self, tmp_path, dataset_csv):
         # noise-free data: the Gram matrix is too ill-conditioned for
@@ -207,14 +225,15 @@ class TestIdentify:
         args = ["identify", "--dataset", str(dataset_csv), "--block-rows", "10"]
         assert main(args + ["--out", str(tmp_path / "energy")]) == 0
         log = json.loads((tmp_path / "energy" / "identify_log.json").read_text())
-        assert log["order"] != 2 and log["criterion"] == "energy"
+        assert log["criterion"] == "energy"
+        order = log["order"] + 1  # one the energy rule did not pick
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fixed_order": 2}))
+        cfg.write_text(json.dumps({"fixed_order": order}))
         out = tmp_path / "fixed"
         assert main(args + ["--config", str(cfg), "--out", str(out)]) == 0
         log = json.loads((out / "identify_log.json").read_text())
-        assert log["order"] == 2 and log["criterion"] == "fixed"
-        assert pipeline.load_model(out / "model.json")[0].order == 2
+        assert log["order"] == order and log["criterion"] == "fixed"
+        assert pipeline.load_model(out / "model.json")[0].order == order
 
     def test_stamp_in_scree(self, tmp_path, dataset_csv):
         out = tmp_path / "out"
@@ -971,12 +990,16 @@ class TestErrors:
          1),
         (["impair", "--dataset", "{data}", "--scenarios", "{tmp}/none.json"],
          1),
+        (["identify", "--dataset", "{wide}"], 2),
+        (["sweep", "--dataset", "{wide}"], 2),
     ], ids=["sweep_bad_label", "identify_no_dataset",
             "identify_missing_file", "validate_no_validation_set",
             "impair_bad_index", "sweep_no_dataset", "sweep_no_scenarios",
-            "impair_no_scenarios"])
+            "impair_no_scenarios", "identify_unscalable_range",
+            "sweep_unscalable_range"])
     def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
-                                               monkeypatch, argv, code):
+                                               wide_input_csv, monkeypatch,
+                                               argv, code):
         if code == 1:  # a config error is found before any data loads
             def no_load(*args, **kwargs):
                 raise AssertionError("dataio.load_dataset was called")
@@ -985,8 +1008,8 @@ class TestErrors:
         scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                                      "label": "a/b"}]))
         (tmp_path / "none.json").write_text("[]")
-        argv = [a.format(data=dataset_csv, scen=scen, tmp=tmp_path)
-                for a in argv]
+        argv = [a.format(data=dataset_csv, scen=scen, tmp=tmp_path,
+                         wide=wide_input_csv) for a in argv]
         out = tmp_path / "o" / "p"
         assert main(argv + ["--block-rows", "10", "--out", str(out)]) == code
         assert not (tmp_path / "o").exists()
@@ -1053,53 +1076,66 @@ class TestErrors:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, cause", [
-        ("{not json", "ConfigError('bad JSON in model"),
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "bad JSON in model {model}: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
         (json.dumps({"A": [[0.5]], "C": [[1.0]], "D": [[0.0]], "dt": 0.1}),
-         "KeyError('B')"),
+         LOAD + "missing key 'B'"),
         (json.dumps({"A": [[0.5]], "B": [["x"]], "C": [[1.0]], "D": [[0.0]],
-                     "dt": 0.1}), "could not convert string to float"),
-        (json.dumps([1, 2]), "TypeError("),
+                     "dt": 0.1}),
+         LOAD + "could not convert string to float: 'x'"),
+        (json.dumps([1, 2]), LOAD + "not a JSON object"),
         (json.dumps({"A": [[0.5, 0.1]], "B": [[1.0]], "C": [[1.0]],
                      "D": [[0.0]], "dt": 0.1}),
-         "DataError('A must be square, got (1, 2)')"),
-        (_model_text(a=float("nan")), "non-standard JSON constant NaN"),
+         LOAD + "A must be square, got (1, 2)"),
+        (_model_text(a=float("nan")),
+         "bad JSON in model {model}: non-standard JSON constant NaN"),
         (_model_text(first_min=float("nan")),
-         "non-standard JSON constant NaN"),
+         "bad JSON in model {model}: non-standard JSON constant NaN"),
         (_model_text(last_max=float("inf")),
-         "non-standard JSON constant Infinity"),
+         "bad JSON in model {model}: non-standard JSON constant Infinity"),
         (_model_text(roles=("input",) * 3 + ("output",) * 2),
-         "DataError('3 input channel entries for 2 inputs')"),
+         LOAD + "3 input channel entries for 2 inputs"),
         (_model_text(roles=("input",) * 2),
-         "DataError('0 output channel entries for 2 outputs')"),
+         LOAD + "0 output channel entries for 2 outputs"),
         (_model_text().replace('"max": 1.0', '"max": 1e400', 1),
-         "number 1e400 beyond the float range"),
-        (_model_text(a=10**400), "int too large to convert to float"),
+         "bad JSON in model {model}: number 1e400 beyond the float range"),
+        (_model_text(a=10**400), LOAD + "int too large to convert to float"),
         (_model_text().replace('"B": [[1.0, 0.0]]',
                                '"B": [[1.0, 0.0], [0.0, 1.0]]'),
-         "DataError('B row count 2 != order 1')"),
+         LOAD + "B row count 2 != order 1"),
         (_model_text().replace('"C": [[1.0], [0.0]]',
                                '"C": [[1.0, 0.0], [0.0, 1.0]]'),
-         "DataError('C column count 2 != order 1')"),
+         LOAD + "C column count 2 != order 1"),
         (_model_text().replace('"D": [[0.0, 0.0], [0.0, 0.0]]',
                                '"D": [[0.0]]'),
-         "DataError('D shape (1, 1) inconsistent with C/B (2, 2)')"),
+         LOAD + "D shape (1, 1) inconsistent with C/B (2, 2)"),
+        (_model_text(a=None), LOAD + "non-finite entries in A"),
+        (_model_text(first_min=None),
+         LOAD + "channel 0: max - min is not finite"),
+        (_model_text(first_min=-1e308).replace('"max": 1.0', '"max": 1e308',
+                                               1),
+         LOAD + "channel 0: max - min is not finite"),
+        (_model_text(roles=("input",) * 2 + ("output",) * 2 + ("state",)),
+         LOAD + "5 channel entries for 4 channels"),
+        (_model_text().replace('"role": "output", ', "", 1),
+         LOAD + "missing key 'role'"),
     ], ids=["bad_json", "missing_B", "non_numeric", "not_object",
             "non_square_A", "nan_entry", "nan_min", "infinite_max",
             "extra_input_entry", "no_output_entries", "max_beyond_float",
             "huge_int_entry", "B_rows_not_order", "C_columns_not_order",
-            "D_shape_not_C_by_B"])
+            "D_shape_not_C_by_B", "null_entry", "null_min",
+            "range_beyond_float", "unknown_role_entry", "entry_without_role"])
     def test_malformed_model_is_data_error(self, tmp_path, dataset_csv,
-                                           capsys, text, cause):
+                                           capsys, text, message):
         model = tmp_path / "bad.json"
         model.write_text(text)
         rc = main(["sweep", "--dataset", str(dataset_csv),
                    "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"data error: cannot load StateSpaceModel from {model}: ")
-        assert cause in err
+        assert err == f"data error: {message.format(model=model)}\n"
+        assert err.count(str(model)) == 1
 
     def test_hand_written_model_loads(self, tmp_path, dataset_csv):
         # the document the malformed-model cases above spoil is itself good
@@ -1138,11 +1174,14 @@ class TestErrors:
         assert rc == 2
         assert "is 1x2 channels, model expects 2x2" in capsys.readouterr().err
 
-    def test_missing_model_is_data_error(self, tmp_path, dataset_csv):
+    def test_missing_model_is_data_error(self, tmp_path, dataset_csv, capsys):
+        model = tmp_path / "absent.json"
         rc = main(["sweep", "--dataset", str(dataset_csv),
-                   "--model", str(tmp_path / "absent.json"),
-                   "--out", str(tmp_path / "o")])
+                   "--model", str(model), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot read model {model}: No such file or "
+            "directory\n")
 
     @pytest.mark.parametrize("text, message", [
         ("[{", "bad JSON in scenarios"),

@@ -58,6 +58,30 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="positive and finite"):
             dataio.load_dataset(p, dt=dt)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"inputs": np.zeros(3), "outputs": np.zeros(4)},
+         "inputs have 3 rows but outputs have 4"),
+        ({"inputs": np.zeros(1), "outputs": np.zeros(1)},
+         "dataset needs at least 2 rows"),
+        ({"inputs": [0.0, np.inf, 0.0], "outputs": np.zeros(3)},
+         "non-finite value in inputs at row 1, column 0"),
+        ({"inputs": np.zeros(3), "outputs": [[0, 0], [0, np.nan], [0, 0]]},
+         "non-finite value in outputs at row 1, column 1"),
+        ({"inputs": np.zeros(3), "outputs": np.zeros(3),
+          "input_names": ("a", "b")},
+         "input_names length does not match input columns"),
+        ({"inputs": np.zeros(3), "outputs": np.zeros(3),
+          "output_names": ("a", "b")},
+         "output_names length does not match output columns"),
+    ], ids=["row_counts_differ", "one_row", "non_finite_input",
+            "non_finite_output", "input_names_length",
+            "output_names_length"])
+    def test_inconsistent_arrays_are_data_error(self, kwargs, message):
+        # the arrays' own checks (load_dataset names the file's cell first)
+        with pytest.raises(DataError) as info:
+            dataio.TrajectoryDataset(**kwargs)
+        assert str(info.value) == message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot open"):
             dataio.load_dataset(tmp_path / "absent.csv")
@@ -497,6 +521,16 @@ class TestNormalize:
         assert params.inputs.constant[0]
         assert not params.outputs.constant[0]
 
+    def test_unscalable_range_is_data_error(self):
+        # each bound finite (or NaN, as JSON null reads), max - min not:
+        # refused before apply divides by it, without a numpy warning
+        with pytest.raises(DataError) as info:
+            dataio.normalize(self.make([0.0, 1.5e308, -1.5e308]))
+        assert str(info.value) == "channel 0: max - min is not finite"
+        with pytest.raises(DataError) as info:
+            dataio.ChannelScaling(mins=[0.0, np.nan], maxs=[1.0, 1.0])
+        assert str(info.value) == "channel 1: max - min is not finite"
+
     def test_idempotent(self, rng):
         ds = dataio.TrajectoryDataset(inputs=rng.standard_normal((40, 2)),
                                       outputs=rng.standard_normal((40, 2)))
@@ -571,6 +605,10 @@ class TestHankel:
     def test_insufficient_samples(self):
         with pytest.raises(DataError, match="too short"):
             dataio.build_hankel(np.arange(4.0), 3, 3)
+        for block_rows, columns in ((0, 3), (3, 0)):
+            with pytest.raises(DataError, match="^block_rows and columns "
+                                                "must be >= 1$"):
+                dataio.build_hankel(np.arange(4.0), block_rows, columns)
 
     def test_matches_block_row_loop(self, rng):
         series = rng.standard_normal((257, 4))

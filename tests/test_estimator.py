@@ -544,6 +544,13 @@ class TestEmpiricalNoise:
             estimator.estimate_noise_empirical(model, np.zeros((10, 1)),
                                                np.zeros((10, 1)), iterations=0)
 
+    def test_one_sample_is_data_error(self, rng):
+        model = random_stable_system(rng, 1, 1, 1)
+        with pytest.raises(DataError, match="^need at least 2 samples to "
+                                            "estimate covariances$"):
+            estimator.estimate_noise_empirical(model, np.zeros((1, 1)),
+                                               np.zeros((1, 1)))
+
     def test_q_always_psd(self, rng):
         for seed in range(5):
             r2 = np.random.default_rng(seed)

@@ -42,6 +42,12 @@ class TestDecompose:
         with pytest.raises(DataError, match="samples"):
             sysid.moesp_decompose(rng.standard_normal((30, 1)),
                                   rng.standard_normal((30, 1)), block_rows=20)
+        with pytest.raises(DataError, match="^inputs and outputs must be "
+                                            "2-D$"):
+            sysid.moesp_decompose(np.zeros((30, 1, 1)), np.zeros((30, 1)), 2)
+        with pytest.raises(DataError, match="^inputs and outputs must have "
+                                            "the same length$"):
+            sysid.moesp_decompose(np.zeros((30, 1)), np.zeros((31, 1)), 2)
 
 
 def noisy_series(rng, n_samples, m_in, m_out, noise=0.1):
@@ -236,6 +242,19 @@ class TestRealize:
         dec = sysid.moesp_decompose(u, y, 1)
         with pytest.raises(DataError, match="block_rows"):
             sysid.realize(dec, 1)
+
+    def test_ill_conditioned_shift_is_numerical_error(self):
+        # orthonormal U1 scaled by sqrt([1, 1e-30]): the shift equation's
+        # two columns differ in size by 1e15
+        ss = np.array([1.0, 1e-30, 1e-31, 1e-32])
+        dec = sysid.SubspaceDecomposition(
+            singular_values=ss, R11=np.eye(4), R21=np.zeros((4, 4)),
+            U1=np.eye(4), block_rows=4, m_in=1, m_out=1,
+            lq_method="cholesky_qr2", lq_cond_est=1.0, cond_r11=1.0)
+        with pytest.raises(NumericalError) as info:
+            sysid.realize(dec, 2)
+        assert str(info.value) == ("ill-conditioned observability shift "
+                                   "equation (cond=1.000e+15)")
 
     def test_noise_free_consistency_sweep(self, rng):
         # exactly n significant singular values and 1e-6 Markov recovery
