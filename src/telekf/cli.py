@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: identify, validate, sweep, impair, calibrate-accuracy.
+Commands: identify, validate, sweep, impair.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure.
 """
@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="scenario_index")
     p.add_argument("--scenarios", dest="scenarios_file",
                    help="scenario list JSON (default: canonical suite)")
-
-    sub.add_parser("calibrate-accuracy", parents=[common],
-                   help="score accuracy formulas against published pairs")
     return parser
 
 
@@ -116,11 +113,6 @@ def main(argv: list[str] | None = None) -> int:
             result = pipeline.cmd_impair(
                 config, scenario_index=args.scenario_index)
             print(f"impaired stream written to {result['path']}")
-        elif args.command == "calibrate-accuracy":
-            result = pipeline.cmd_calibrate_accuracy(config)
-            best = result["result"]["best"]
-            print(f"best-fitting accuracy formula: {best} "
-                  f"(ranking at {result['path']})")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

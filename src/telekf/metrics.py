@@ -23,13 +23,6 @@ _RANGE_NORMALIZED = ("nrmse_range", "nmae")
 #: Reports take innovation whiteness over lags 1..WHITENESS_MAX_LAG.
 WHITENESS_MAX_LAG = 10
 
-#: Published (RMSE, accuracy %) pairs used by the calibration utility.
-REFERENCE_ACCURACY_PAIRS = (
-    (0.0331, 94.80),
-    (0.0297, 95.99),
-    (0.0243, 97.67),
-)
-
 
 @dataclass(frozen=True)
 class EstimationReport:
@@ -198,40 +191,3 @@ def fit_report(model: StateSpaceModel, inputs: np.ndarray,
     predicted = simulate(model, inputs)
     return predicted, report_run(predicted, outputs, metric_def=metric_def,
                                  burn_in=burn_in)
-
-
-def calibrate_accuracy() -> dict:
-    """Score the accuracy formulas of ACCURACY_METRICS that RMSE alone
-    determines against the published REFERENCE_ACCURACY_PAIRS and return
-    them ranked by fit, so "best" is always a metric accuracy_pct accepts.
-
-    Each candidate maps RMSE r to accuracy; the range-normalized one gets
-    its range parameter fitted by least squares.  The published pairs are
-    mutually inconsistent, so even the best candidate carries a nonzero
-    residual; the result records it.
-    """
-    pairs = np.asarray(REFERENCE_ACCURACY_PAIRS, dtype=float)
-    r, a = pairs[:, 0], pairs[:, 1]
-
-    # 100 (1 - r / rho): rho fitted. Minimize sum (a - 100 + 100 r/rho)^2
-    # over s = 1/rho (linear least squares in s); the pairs give s > 0.
-    y = a - 100.0
-    s = float((100.0 * r) @ y / ((100.0 * r) @ (100.0 * r))) * -1.0
-    candidates = {
-        # 100 (1 - r): no free parameter.
-        "one_minus_rmse": {"predicted": 100.0 * (1.0 - r), "params": {}},
-        "nrmse_range": {"predicted": 100.0 * (1.0 - s * r),
-                        "params": {"range": 1.0 / s}}}
-
-    scored = []
-    for name, cand in candidates.items():
-        resid = float(np.sqrt(np.mean((cand["predicted"] - a) ** 2)))
-        scored.append({"metric_def": name, "rms_residual_pct": resid,
-                       "params": cand["params"],
-                       "predicted": list(np.round(cand["predicted"], 4))})
-    scored.sort(key=lambda c: c["rms_residual_pct"])
-    return {
-        "pairs": pairs.tolist(),
-        "candidates": scored,
-        "best": scored[0]["metric_def"],
-    }

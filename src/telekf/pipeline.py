@@ -96,7 +96,7 @@ def _write(path: Path, data: bytes) -> None:
     try:
         path.write_bytes(data)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path, config: ExperimentConfig, doc: dict) -> None:
@@ -146,7 +146,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
-            f"cannot create output directory {out}: {exc}") from exc
+            f"cannot create output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -204,14 +204,19 @@ def load_model(path) -> tuple[sysid.StateSpaceModel,
     by cmd_identify, each role's scaling from its channel entries.  A file
     read_json refuses is a DataError in its words; any other malformed
     document (not an object, a missing key, bad matrices, channel entries
-    that do not match B's columns and C's rows or cannot scale) is a
-    DataError that names the file."""
+    that are not a list of objects, do not match B's columns and C's rows
+    or cannot scale) is a DataError that names the file."""
     try:
         doc = dataio.read_json(path, "model")
         if not isinstance(doc, dict):
             raise DataError("not a JSON object")
         model = sysid.StateSpaceModel(*(doc[name] for name in "ABCD"))
-        channels = doc["norm_params"]["channels"]
+        params = doc["norm_params"]
+        channels = params["channels"] if isinstance(params, dict) else None
+        if not (isinstance(channels, list)
+                and all(isinstance(e, dict) for e in channels)):
+            raise DataError("norm_params must be an object holding a list "
+                            "of channel objects")
         scalings = []
         for role, width in (("input", model.m_in), ("output", model.m_out)):
             given = [e for e in channels if e["role"] == role]
@@ -413,12 +418,3 @@ def cmd_impair(config: ExperimentConfig, scenario_index: int = 0) -> dict:
                        stream.loss_mask[:, None].astype(int)], dtype=object)
     _write(path, dataio.table_bytes(cols, table, stamp=_stamp(config)))
     return {"path": path}
-
-
-def cmd_calibrate_accuracy(config: ExperimentConfig) -> dict:
-    """Score candidate accuracy formulas against the published pairs and
-    write the ranking."""
-    result = metrics.calibrate_accuracy()
-    path = _out_dir(config) / "accuracy_calibration.json"
-    _write_json(path, config, result)
-    return {"result": result, "path": path}

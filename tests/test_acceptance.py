@@ -265,7 +265,7 @@ def test_criterion_09_recorded_trial_quantitative(tmp_path):
              "set TELEKF_JIGSAWS_TRIAL to a trial CSV to enable")
     config = pipeline.ExperimentConfig(
         dataset=trial, block_rows=20, out_dir=str(tmp_path),
-        metric_def=metrics.calibrate_accuracy()["best"])
+        metric_def=metrics.DEFAULT_METRIC)
     model, norm = pipeline.model_and_data(config, config.dataset)
     sc = config.resolve_scenarios()[2]
     noise = estimator.estimate_noise_empirical(model, norm.inputs,

@@ -78,6 +78,8 @@ ZERO_RANGE = ("output channel 1: truth range is zero; range-normalized "
 #: the start of every message of a model.json that reads as JSON but not
 #: as a model
 LOAD = "cannot load StateSpaceModel from {model}: "
+NOT_CHANNELS = ("norm_params must be an object holding a list of channel "
+                "objects")
 
 
 @pytest.fixture()
@@ -164,11 +166,18 @@ class TestIdentify:
         assert np.all(params.outputs.apply(outputs)[:, 2] == 0.0)
 
     @pytest.mark.parametrize("spoil, message", [
-        (lambda e: e.update(role="state"),
+        (lambda d: d["norm_params"]["channels"][1].update(role="state"),
          "1 input channel entries for 2 inputs"),
-        (lambda e: e.pop("min"), "missing key 'min'"),
-        (lambda e: e.update(max=-1e9), "channel max below min"),
-    ], ids=["unknown_role", "missing_min", "max_below_min"])
+        (lambda d: d["norm_params"]["channels"][1].pop("min"),
+         "missing key 'min'"),
+        (lambda d: d["norm_params"]["channels"][1].update(max=-1e9),
+         "channel max below min"),
+        (lambda d: d.update(norm_params=[]), NOT_CHANNELS),
+        (lambda d: d.update(norm_params={"channels": [1, 2]}), NOT_CHANNELS),
+        (lambda d: d.update(norm_params={"channels": {"a": 1}}),
+         NOT_CHANNELS),
+    ], ids=["unknown_role", "missing_min", "max_below_min", "list_params",
+            "number_entries", "object_channels"])
     def test_bad_norm_params_is_data_error(self, tmp_path, dataset_csv,
                                            validation_csv, capsys, spoil,
                                            message):
@@ -176,7 +185,7 @@ class TestIdentify:
         assert main(["identify", "--dataset", str(dataset_csv),
                      "--out", str(out), "--block-rows", "10"]) == 0
         doc = json.loads((out / "model.json").read_text())
-        spoil(doc["norm_params"]["channels"][1])
+        spoil(doc)
         model = tmp_path / "bad.json"
         model.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -392,15 +401,14 @@ class TestStrictJson:
                      ["validate", "--model", model, "--validation-dataset",
                       str(validation_csv)],
                      ["sweep", "--model", model, "--dataset",
-                      str(dataset_csv)],
-                     ["calibrate-accuracy"]):
+                      str(dataset_csv)]):
             assert main(argv + ["--out", out, "--block-rows", "10"]) == 0
 
         def refuse(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
         reports = sorted((tmp_path / "out").glob("*.json"))
-        assert len(reports) == 10  # model, log, fit, calibration, 6 sweep
+        assert len(reports) == 9  # model, log, fit, 6 sweep
         docs = {p.name: json.loads(p.read_text(), parse_constant=refuse)
                 for p in reports}
         assert docs["fit_report.json"]["whiteness"] == [None, None]
@@ -924,18 +932,27 @@ class TestImpair:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("argv", [["sweep", "--seed", "x"],
-                                      ["identify", "--bogus"], [], ["bogus"]],
-                             ids=["bad_int", "unknown_option", "no_command",
-                                  "unknown_command"])
-    def test_usage_error_exits_1(self, argv, capsys):
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "--seed", "x"],
+         "telekf sweep: error: argument --seed: invalid int value: 'x'"),
+        (["identify", "--bogus"],
+         "telekf: error: unrecognized arguments: --bogus"),
+        ([], "telekf: error: the following arguments are required: command"),
+        (["bogus"], "telekf: error: argument command: invalid choice: "
+         "'bogus' (choose from 'identify', 'validate', 'sweep', 'impair')"),
+        (["calibrate-accuracy"], "telekf: error: argument command: invalid "
+         "choice: 'calibrate-accuracy' (choose from 'identify', 'validate', "
+         "'sweep', 'impair')"),
+    ], ids=["bad_int", "unknown_option", "no_command", "unknown_command",
+            "removed_command"])
+    def test_usage_error_exits_1(self, argv, error, capsys):
         # argparse's own status, 2, is the data-error code here
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: telekf")
-        assert "error: " in err and "Traceback" not in err
+        assert err.endswith(f"\n{error}\n") and "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -1015,17 +1032,19 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["identify", "sweep"])
-    @pytest.mark.parametrize("below", [False, True], ids=["file", "in_file"])
+    @pytest.mark.parametrize("below, reason", [
+        (False, "File exists"), (True, "Not a directory")],
+        ids=["file", "in_file"])
     def test_uncreatable_out_is_config_error(self, tmp_path, dataset_csv,
-                                             capsys, command, below):
+                                             capsys, command, below, reason):
         taken = tmp_path / "taken"
         taken.write_text("keep")
         out = taken / "sub" if below else taken
         rc = main([command, "--dataset", str(dataset_csv), "--block-rows",
                    "10", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            f"config error: cannot create output directory {out}: ")
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {out}: {reason}\n")
         assert taken.read_text() == "keep"
 
     @pytest.mark.parametrize("argv, name, parts", [
@@ -1038,10 +1057,9 @@ class TestErrors:
         (["sweep", "--scenarios", "{scen}"], "still_run.csv", True),
         (["sweep", "--scenarios", "{scen}"], "lossy_run.csv", True),
         (["impair"], "impaired.csv", False),
-        (["calibrate-accuracy"], "accuracy_calibration.json", False),
     ], ids=["identify", "validate", "sweep_first_run", "sweep_copied_run",
             "sweep_summary", "sweep_parent_part_run", "sweep_child_part_run",
-            "impair", "calibrate_accuracy"])
+            "impair"])
     def test_unwritable_output_file_is_config_error(
             self, tmp_path, dataset_csv, validation_csv, capsys, request,
             argv, name, parts):
@@ -1063,8 +1081,8 @@ class TestErrors:
         rc = main(argv + ["--dataset", str(dataset_csv), "--block-rows", "10",
                           "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            f"config error: cannot write {out / name}: ")
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {out / name}: Is a directory\n")
         assert bool(forks) == parts
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
@@ -1391,13 +1409,3 @@ class TestErrors:
             "numerical error: singular R11 (insufficient input excitation, "
             "cond=inf)\n")
         assert not (tmp_path / "o").exists()
-
-
-class TestCalibrate:
-    def test_end_to_end(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        rc = main(["calibrate-accuracy", "--out", str(out)])
-        assert rc == 0
-        doc = json.loads((out / "accuracy_calibration.json").read_text())
-        assert doc["best"] in {c["metric_def"] for c in doc["candidates"]}
-        assert "best-fitting accuracy formula" in capsys.readouterr().out

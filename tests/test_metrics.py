@@ -224,22 +224,22 @@ class TestReport:
         assert rep.accuracy_pct[0] == pytest.approx(metrics.accuracy_pct(e, t))
 
 
-class TestCalibration:
-    def test_published_pairs_fit_no_formula_exactly(self):
-        result = metrics.calibrate_accuracy()
-        assert result["candidates"][0]["metric_def"] == result["best"]
-        # the published pairs are internally inconsistent: even the best
-        # candidate misses by a nontrivial margin
-        assert all(c["rms_residual_pct"] > 0.01 for c in result["candidates"])
-        assert result["candidates"] == sorted(
-            result["candidates"], key=lambda c: c["rms_residual_pct"])
+class TestPublishedPairs:
+    #: The paper's published (RMSE, accuracy %) pairs.
+    PAIRS = np.array([(0.0331, 94.80), (0.0297, 95.99), (0.0243, 97.67)])
 
-    def test_deterministic(self):
-        assert metrics.calibrate_accuracy() == metrics.calibrate_accuracy()
-
-    def test_best_is_a_metric_accuracy_pct_accepts(self, rng):
-        best = metrics.calibrate_accuracy()["best"]
-        t = rng.uniform(0, 1, 50)
-        e = t + 0.01 * rng.standard_normal(50)
-        assert 0.0 <= metrics.accuracy_pct(e, t, best) <= 100.0
-        assert best in metrics.ACCURACY_METRICS
+    def test_rank_default_metric_best(self):
+        # fit the accuracy formulas that RMSE alone determines to the
+        # pairs: 100 (1 - r), and 100 (1 - r / range) with its range fitted
+        # by least squares in s = 1 / range
+        r, a = self.PAIRS.T
+        s = -float((100.0 * r) @ (a - 100.0) / ((100.0 * r) @ (100.0 * r)))
+        residual = {name: float(np.sqrt(np.mean((pred - a) ** 2)))
+                    for name, pred in (("one_minus_rmse", 100.0 * (1.0 - r)),
+                                       ("nrmse_range", 100.0 * (1.0 - s * r)))}
+        assert min(residual, key=residual.get) == metrics.DEFAULT_METRIC
+        assert 1.0 / s == pytest.approx(0.738, abs=5e-4)
+        assert residual == pytest.approx(
+            {"nrmse_range": 0.69, "one_minus_rmse": 1.25}, abs=5e-3)
+        # the pairs are mutually inconsistent: both candidates miss
+        assert all(res > 0.01 for res in residual.values())
