@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,12 +157,14 @@ class TrajectoryDataset:
 @dataclass(frozen=True)
 class ChannelScaling:
     """Per-channel min/max statistics for one role (input or output); the
-    channel names stay with the dataset."""
+    channel names stay with the dataset.  ``names``, when given, only name
+    a channel that cannot be scaled; otherwise its 0-based index does."""
 
     mins: np.ndarray
     maxs: np.ndarray
+    names: InitVar[list[str] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, names):
         mins = np.asarray(self.mins, dtype=float)
         maxs = np.asarray(self.maxs, dtype=float)
         object.__setattr__(self, "mins", mins)
@@ -172,7 +174,8 @@ class ChannelScaling:
         with np.errstate(all="ignore"):  # an overflow is refused below
             bad = np.flatnonzero(~np.isfinite(maxs - mins))
         if bad.size:
-            raise DataError(f"channel {bad[0]}: max - min is not finite")
+            which = bad[0] if names is None else names[bad[0]]
+            raise DataError(f"channel {which}: max - min is not finite")
 
     @property
     def constant(self) -> np.ndarray:
@@ -207,12 +210,17 @@ def normalize(
 
     Constant channels map to 0 and are flagged by ``constant`` in the
     returned params.  Pass precomputed ``params`` to reuse
-    identification-split statistics on validation data.
+    identification-split statistics on validation data.  A channel that
+    cannot be scaled is named by its header name, ``u:<name>`` or
+    ``y:<name>``.
     """
     if params is None:
         params = NormalizationParams(*(
-            ChannelScaling(x.min(axis=0), x.max(axis=0))
-            for x in (dataset.inputs, dataset.outputs)))
+            ChannelScaling(x.min(axis=0), x.max(axis=0),
+                           [f"{role}:{name}" for name in names])
+            for role, x, names in (("u", dataset.inputs, dataset.input_names),
+                                   ("y", dataset.outputs,
+                                    dataset.output_names))))
     scaled = TrajectoryDataset(
         inputs=params.inputs.apply(dataset.inputs),
         outputs=params.outputs.apply(dataset.outputs),
@@ -462,7 +470,8 @@ def load_dataset(path, dt: float | None = None) -> TrajectoryDataset:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise DataError(f"cannot open dataset file {path}: {exc}") from exc
+        raise DataError(
+            f"cannot open dataset file {path}: {exc.strerror}") from exc
     if not raw.isascii():  # an ASCII file needs no decode, nor its copy
         try:
             raw.decode("utf-8")

@@ -121,9 +121,15 @@ def _finite_or_none(doc):
 
 
 def _load_and_normalize(config: ExperimentConfig):
+    """The config's dataset and its fitted scaling; a channel that cannot
+    be scaled is a DataError that names the file."""
     if not config.dataset:
         raise ConfigError("config has no dataset path")
-    return dataio.normalize(dataio.load_dataset(config.dataset, dt=config.dt))
+    dataset = dataio.load_dataset(config.dataset, dt=config.dt)
+    try:
+        return dataio.normalize(dataset)
+    except DataError as exc:
+        raise DataError(f"{config.dataset}: {exc}") from exc
 
 
 def _identify(config: ExperimentConfig, norm: dataio.TrajectoryDataset):

@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import io
 import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +72,26 @@ def wide_input_csv(tmp_path, dataset_csv):
     dataio.save_dataset(dataio.TrajectoryDataset(
         inputs=inputs, outputs=ds.outputs, dt=ds.dt), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def trial(tmp_path_factory):
+    """The CI workflow's criterion-09 trial, written by perfbench's
+    sweep_c11 recipe (1240 x (3+3) channels at 30 Hz), in trial.csv, and
+    the model identify fits to it, in out/model.json."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    root = tmp_path_factory.mktemp("trial")
+    plant = workloads.random_stable_system(np.random.default_rng(11), 3, 3, 3)
+    rng = np.random.default_rng([1, 4242])
+    u = rng.standard_normal((1240, 3))
+    y, _ = workloads.simulate_noisy(plant, u, 1e-4, 1e-4, rng)
+    workloads.write_csv(root / "trial.csv", u, y)
+    assert main(["identify", "--dataset", str(root / "trial.csv"),
+                 "--out", str(root / "out")]) == 0
+    return root
 
 
 ZERO_RANGE = ("output channel 1: truth range is zero; range-normalized "
@@ -881,6 +903,8 @@ class TestSweep:
         assert bodies["ranged"][:5] == bodies["default"][:5]
         assert bodies["ranged"][5] != bodies["default"][5]
         ranged = tmp_path / "ranged"
+        rows = (ranged / "sweep_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[-1] for row in rows] == ["ok"] * 6
         doc = json.loads((ranged / "scenario_6_report.json").read_text())
         assert doc["scenario"]["delay_range_ms"] == [200.0, 5000.0]
         # the run CSV's observed columns are impair's ranged draw
@@ -960,10 +984,14 @@ class TestErrors:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: telekf")
 
-    def test_missing_dataset_is_data_error(self, tmp_path):
-        rc = main(["identify", "--dataset", str(tmp_path / "nope.csv"),
+    def test_missing_dataset_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        rc = main(["identify", "--dataset", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot open dataset file {path}: No such file or "
+            "directory\n")
 
     def test_non_utf8_header_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -971,8 +999,82 @@ class TestErrors:
         rc = main(["identify", "--dataset", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"data error: {path}: ")
+        assert capsys.readouterr().err == (
+            f"data error: {path}: line 1 is not UTF-8 (byte 0xe9)\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, code, error, rows", [
+        (["impair", "--dataset", "{trial}", "--scenarios", "{jitter}"], 0, "",
+         None),
+        (["impair", "--dataset", "{trial}", "--dt", "0.0005", "--scenarios",
+          "{delay}"], 0, "", None),
+        (["sweep", "--dataset", "{trial}", "--model", "{diverging}"], 0, "",
+         ["error: sample 2: predicted covariance is not finite"] * 6),
+        (["identify", "--dataset", "{wide_u}"], 2,
+         "data error: {wide_u}: channel u:u1: max - min is not finite", None),
+        (["identify", "--dataset", "{repeat}"], 2,
+         "data error: {repeat}: timestamps must increase uniformly; rows 1 "
+         "to 2 step by 0.0, the first step is 0.0", None),
+    ], ids=["impair_jitter_beyond_int64", "impair_delay_beyond_float",
+            "sweep_diverging_model", "identify_unscalable_channel",
+            "identify_repeated_timestamp"])
+    def test_bad_input_on_the_trial(self, tmp_path, trial, capsys, argv,
+                                    code, error, rows):
+        # jitter offsets past the int64 and float ranges clamp to the
+        # stream's ends; a delay past the float range decides against a
+        # -inf jitter term; a model whose A is 1e200 I overflows the first
+        # covariance prediction in every scenario row; two finite u:u1
+        # cells whose difference overflows cannot be scaled; a repeated
+        # timestamp prints its steps as plain floats
+        text = (trial / "trial.csv").read_text()
+        lines = text.split("\n")
+        for i, value in ((6, "1.5e308"), (8, "-1.5e308")):
+            cells = lines[i].split(",")
+            cells[2] = value
+            lines[i] = ",".join(cells)
+        doc = json.loads((trial / "out" / "model.json").read_text())
+        doc["A"] = (1e200 * np.eye(len(doc["A"]))).tolist()
+        files = {
+            "jitter": json.dumps([{"nd_ms": 0, "nj_ms": 1e308, "np": 0}]),
+            "delay": json.dumps([{"nd_ms": 1e308, "nj_ms": 1e308, "np": 0}]),
+            "diverging": json.dumps(doc),
+            "wide_u": "\n".join(lines),
+            "repeat": "t,u:a,y:b\n0,1,2\n0,3,4\n1,5,6\n"}
+        paths = {"trial": trial / "trial.csv"}
+        for name, content in files.items():
+            paths[name] = tmp_path / name
+            paths[name].write_text(content)
+        out = tmp_path / "o"
+        rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err == (error.format(**paths) + "\n" if error else "")
+        assert out.exists() == (code == 0)
+        if rows is not None:
+            summary = (out / "sweep_summary.csv").read_text().splitlines()
+            assert [row.split(",")[-1] for row in summary[2:]] == rows
+
+    @pytest.mark.parametrize("spoil, message, forked", [
+        (lambda raw: raw[:-1] + b"\xff\n",
+         "line 1241 is not UTF-8 (byte 0xff)", 0),
+        (lambda raw: raw + b"0," + b"x" * 200_000,
+         "data row 1241: field larger than field limit (131072)", 1),
+    ], ids=["non_utf8_last_line", "overlong_last_row"])
+    def test_forked_parse_names_the_bad_line(self, tmp_path, trial, forks,
+                                             capsys, spoil, message, forked):
+        # in parts, a byte that is not UTF-8 before the trial's last line
+        # feed is named by its file line (the check runs before any part
+        # forks), and a last row csv cannot read, which fails the forked
+        # part that holds it (the cut past it finds no line feed), by its
+        # data row once the serial redo fails too
+        path = tmp_path / "bad.csv"
+        path.write_bytes(spoil((trial / "trial.csv").read_bytes()))
+        out = tmp_path / "o"
+        assert main(["identify", "--dataset", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+        assert len(forks) == forked
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["identify", "--block-rows", "1"],
@@ -996,19 +1098,30 @@ class TestErrors:
         rc = main(["identify", "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    @pytest.mark.parametrize("argv, code", [
-        (["sweep", "--dataset", "{data}", "--scenarios", "{scen}"], 1),
-        (["identify"], 1),
-        (["identify", "--dataset", "{tmp}/absent.csv"], 2),
-        (["validate", "--dataset", "{data}"], 1),
-        (["impair", "--dataset", "{data}", "--scenario-index", "9"], 1),
-        (["sweep", "--model", "{tmp}/absent.json"], 1),
+    @pytest.mark.parametrize("argv, code, error", [
+        (["sweep", "--dataset", "{data}", "--scenarios", "{scen}"], 1,
+         "config error: label must be one file-name component, without / "
+         "or \\ or NUL and not . or .., got 'a/b'"),
+        (["identify"], 1, "config error: config has no dataset path"),
+        (["identify", "--dataset", "{tmp}/absent.csv"], 2,
+         "data error: cannot open dataset file {tmp}/absent.csv: No such "
+         "file or directory"),
+        (["validate", "--dataset", "{data}"], 1,
+         "config error: config has no validation_dataset path"),
+        (["impair", "--dataset", "{data}", "--scenario-index", "9"], 1,
+         "config error: scenario index 9 outside 0..5"),
+        (["sweep", "--model", "{tmp}/absent.json"], 1,
+         "config error: sweep needs a dataset (for inputs and truth)"),
         (["sweep", "--dataset", "{data}", "--scenarios", "{tmp}/none.json"],
-         1),
+         1, "config error: scenarios must be 'suite' or a list of at least "
+         "one scenario, got []"),
         (["impair", "--dataset", "{data}", "--scenarios", "{tmp}/none.json"],
-         1),
-        (["identify", "--dataset", "{wide}"], 2),
-        (["sweep", "--dataset", "{wide}"], 2),
+         1, "config error: scenarios must be 'suite' or a list of at least "
+         "one scenario, got []"),
+        (["identify", "--dataset", "{wide}"], 2,
+         "data error: {wide}: channel u:u1: max - min is not finite"),
+        (["sweep", "--dataset", "{wide}"], 2,
+         "data error: {wide}: channel u:u1: max - min is not finite"),
     ], ids=["sweep_bad_label", "identify_no_dataset",
             "identify_missing_file", "validate_no_validation_set",
             "impair_bad_index", "sweep_no_dataset", "sweep_no_scenarios",
@@ -1016,7 +1129,7 @@ class TestErrors:
             "sweep_unscalable_range"])
     def test_rejected_run_creates_no_directory(self, tmp_path, dataset_csv,
                                                wide_input_csv, monkeypatch,
-                                               argv, code):
+                                               capsys, argv, code, error):
         if code == 1:  # a config error is found before any data loads
             def no_load(*args, **kwargs):
                 raise AssertionError("dataio.load_dataset was called")
@@ -1025,10 +1138,12 @@ class TestErrors:
         scen.write_text(json.dumps([{"nd_ms": 1.0, "nj_ms": 1.0, "np": 0.0,
                                      "label": "a/b"}]))
         (tmp_path / "none.json").write_text("[]")
-        argv = [a.format(data=dataset_csv, scen=scen, tmp=tmp_path,
-                         wide=wide_input_csv) for a in argv]
+        names = {"data": dataset_csv, "scen": scen, "tmp": tmp_path,
+                 "wide": wide_input_csv}
+        argv = [a.format(**names) for a in argv]
         out = tmp_path / "o" / "p"
         assert main(argv + ["--block-rows", "10", "--out", str(out)]) == code
+        assert capsys.readouterr().err == error.format(**names) + "\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["identify", "sweep"])

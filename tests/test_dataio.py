@@ -523,10 +523,12 @@ class TestNormalize:
 
     def test_unscalable_range_is_data_error(self):
         # each bound finite (or NaN, as JSON null reads), max - min not:
-        # refused before apply divides by it, without a numpy warning
+        # refused before apply divides by it, without a numpy warning; a
+        # dataset's channel is named by its header name, a bare scaling's
+        # by its index
         with pytest.raises(DataError) as info:
             dataio.normalize(self.make([0.0, 1.5e308, -1.5e308]))
-        assert str(info.value) == "channel 0: max - min is not finite"
+        assert str(info.value) == "channel u:u0: max - min is not finite"
         with pytest.raises(DataError) as info:
             dataio.ChannelScaling(mins=[0.0, np.nan], maxs=[1.0, 1.0])
         assert str(info.value) == "channel 1: max - min is not finite"
